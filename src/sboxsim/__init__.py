@@ -21,9 +21,8 @@ from .pipeline import (PipelineDesign, TooManyStagesError, cut_pipeline,
 from .faults import (ComparatorSite, FaultSpec, GateSite, InvalidSiteError,
                      PERMANENT, RegisterSite, VoterLatchSite,
                      enumerate_sites)
-from .redundancy import (DmrVoterState, FcDmrMachine, PlainPipelineMachine,
-                         StepRecord, TmrMachine, TtrMachine, cu_aggregate,
-                         dmr_voter_step, du_compare, majority3, make_machine,
+from .redundancy import (FcDmrMachine, PlainPipelineMachine, StepRecord,
+                         TmrMachine, TtrMachine, majority3, make_machine,
                          ttr_run)
 from .campaign import (CampaignConfig, CampaignResult, Classification,
                        EmptyCampaignError, default_stream, golden_run,

@@ -305,8 +305,11 @@ def enumerate_scenarios(design: PipelineDesign,
     return specs
 
 
-def _run_chunk(scheme, design, stream, specs, golden) -> list:
-    programs = build_stage_programs(design)
+def _run_chunk(scheme, design, stream, specs, golden, programs=None) -> list:
+    # Worker processes build their own programs: compiled stage functions
+    # do not pickle.
+    if programs is None:
+        programs = build_stage_programs(design)
     out = []
     for spec in specs:
         cls, _ = run_scenario(scheme, design, stream, spec, golden, programs)
@@ -341,7 +344,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
             classifications[i::nw] = res
     else:
         classifications = _run_chunk(config.scheme, design, stream, specs,
-                                     golden)
+                                     golden, programs)
 
     counts: dict = {k: 0 for k in CLASS_KINDS}
     per_site: dict = {}

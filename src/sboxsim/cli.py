@@ -15,20 +15,27 @@ import os
 import sys
 
 from . import __version__
-from .campaign import (CampaignConfig, default_stream, run_campaign,
-                       run_scenario, golden_run, DEFAULT_SEED)
-from .faults import (ComparatorSite, FaultSpec, GateSite, PERMANENT,
-                     RegisterSite, VoterLatchSite)
+from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
+                       run_campaign, run_scenario, DEFAULT_SEED)
+from .faults import (ComparatorSite, FaultSpec, GateSite, InvalidFaultError,
+                     InvalidSiteError, PERMANENT, RegisterSite,
+                     VoterLatchSite)
 from .gf import DEFAULT_PARAMS, FieldParams, sbox_composite, sbox_reference
 from .metrics import build_metrics, render_table
 from .netlist import CostTable, DEFAULT_COSTS
-from .pipeline import cut_pipeline
+from .pipeline import TooManyStagesError, cut_pipeline
 from .redundancy import make_machine
 from .synth import synth_sbox
 
 
 class ConfigError(Exception):
     pass
+
+
+# The library's validation errors: each means the user's input was bad, so
+# main reports it like a ConfigError.
+_INPUT_ERRORS = (ConfigError, EmptyCampaignError, InvalidFaultError,
+                 InvalidSiteError, TooManyStagesError)
 
 
 def _load_params(path) -> FieldParams:
@@ -160,13 +167,14 @@ def cmd_simulate(args) -> int:
 
     fault = None
     if args.fault_site:
-        duration = (PERMANENT if args.fault_duration == "perm"
-                    else int(args.fault_duration))
         try:
-            fault = FaultSpec(_parse_site(args.fault_site), args.fault_model,
-                              args.fault_start, duration)
-        except ValueError as e:
-            raise ConfigError(str(e))
+            duration = (PERMANENT if args.fault_duration == "perm"
+                        else int(args.fault_duration))
+        except ValueError:
+            raise ConfigError(f"bad fault duration {args.fault_duration!r}; "
+                              "expected a cycle count or 'perm'")
+        fault = FaultSpec(_parse_site(args.fault_site), args.fault_model,
+                          args.fault_start, duration)
 
     if fault is None:
         machine = make_machine(args.design, design)
@@ -352,7 +360,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

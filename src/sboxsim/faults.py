@@ -42,6 +42,10 @@ class InvalidSiteError(ValueError):
     """The fault site does not exist in the target design/scheme."""
 
 
+class InvalidFaultError(ValueError):
+    """A fault specification with an unknown model or a bad cycle window."""
+
+
 @dataclass(frozen=True)
 class GateSite:
     gate_id: int
@@ -94,15 +98,16 @@ class FaultSpec:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown fault model {self.model!r}")
+            raise InvalidFaultError(f"unknown fault model {self.model!r}")
         if self.start_cycle < 0:
-            raise ValueError("start_cycle must be nonnegative")
+            raise InvalidFaultError("start_cycle must be nonnegative")
         if self.duration is PERMANENT:
             if self.model == FLIP:
-                raise ValueError(
+                raise InvalidFaultError(
                     "a bit-flip is an event and cannot be permanent")
         elif self.duration < 1:
-            raise ValueError("duration must be positive (or PERMANENT)")
+            raise InvalidFaultError(
+                "duration must be positive (or PERMANENT)")
 
     def __str__(self):
         dur = "perm" if self.duration is PERMANENT else str(self.duration)
@@ -173,7 +178,7 @@ class ActiveFault:
 
         self.gate_stage = -1
         self.gate_replica = -1
-        self.gate_map: dict = {}
+        self.gate_map = frozenset()
         self.reg_boundary = -1
         self.reg_replica = -1
         self.reg_mask = 0
@@ -190,9 +195,10 @@ class ActiveFault:
                     f"replica {site.replica} out of range for {scheme}")
             self.gate_stage = design.stage_of_gate[site.gate_id - n_in]
             self.gate_replica = site.replica
-            self.gate_map = {site.gate_id: (0 if spec.model == STUCK0 else
-                                            1 if spec.model == STUCK1 else
-                                            "flip")}
+            self.gate_map = frozenset({(site.gate_id,
+                                        0 if spec.model == STUCK0 else
+                                        1 if spec.model == STUCK1 else
+                                        "flip")})
         elif isinstance(site, RegisterSite):
             max_stage = design.n_stages + _buffer_rows(scheme)
             if not (0 <= site.stage < max_stage):
@@ -239,7 +245,7 @@ class ActiveFault:
     # gate on that themselves, so the hooks skip the window check.
 
     def gate_overrides(self, cycle: int, stage: int,
-                       replica: int) -> Optional[dict]:
+                       replica: int) -> Optional[frozenset]:
         if stage == self.gate_stage and replica == self.gate_replica:
             return self.gate_map
         return None
@@ -297,15 +303,12 @@ class FaultSet:
     def expired(self, cycle: int) -> bool:
         return all(f.expired(cycle) for f in self.faults)
 
-    def gate_overrides(self, cycle, stage, replica) -> Optional[dict]:
-        merged = None
+    def gate_overrides(self, cycle, stage, replica) -> Optional[frozenset]:
+        merged = {}
         for f in self.faults:
             if f.active(cycle):
-                ov = f.gate_overrides(cycle, stage, replica)
-                if ov:
-                    merged = dict(merged) if merged else {}
-                    merged.update(ov)
-        return merged
+                merged.update(f.gate_overrides(cycle, stage, replica) or ())
+        return frozenset(merged.items()) if merged else None
 
     def transform_regs(self, cycle, replica, regs) -> list[int]:
         for f in self.faults:

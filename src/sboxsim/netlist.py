@@ -40,11 +40,26 @@ class InputWidthMismatchError(NetlistError):
     """An evaluation was given the wrong number of input bits."""
 
 
-# Gate kind -> fanin arity.  MUX2 fanin order is (select, d0, d1).
-GATE_ARITY = {
-    "XOR2": 2, "XNOR2": 2, "AND2": 2, "NAND2": 2,
-    "OR2": 2, "NOR2": 2, "NOT": 1, "BUF": 1, "MUX2": 3,
+# Gate kind -> (fanin arity, output as a Python expression over the fanin
+# bits {0}, {1}, {2}).  MUX2 fanin order is (select, d0, d1).  This table is
+# the only definition of gate behaviour: Netlist.evaluate and the compiled
+# pipeline stages are both generated from it.
+GATES = {
+    "XOR2": (2, "{0} ^ {1}"),
+    "XNOR2": (2, "1 ^ {0} ^ {1}"),
+    "AND2": (2, "{0} & {1}"),
+    "NAND2": (2, "1 ^ ({0} & {1})"),
+    "OR2": (2, "{0} | {1}"),
+    "NOR2": (2, "1 ^ ({0} | {1})"),
+    "NOT": (1, "1 ^ {0}"),
+    "BUF": (1, "{0}"),
+    "MUX2": (3, "({2} if {0} else {1})"),
 }
+
+# Each kind's output as a function of (signal values, fanin ids).
+_GATE_FN = {kind: eval("lambda v, f: "
+                       + expr.format("v[f[0]]", "v[f[1]]", "v[f[2]]"))
+            for kind, (_, expr) in GATES.items()}
 
 
 @dataclass(frozen=True)
@@ -78,11 +93,12 @@ class Netlist:
             if g.id != n_in + pos:
                 raise UndefinedSignalError(
                     f"gate {g.id}: ids must be dense and in order")
-            if g.kind not in GATE_ARITY:
+            if g.kind not in GATES:
                 raise ArityMismatchError(f"gate {g.id}: unknown kind {g.kind!r}")
-            if len(g.fanin) != GATE_ARITY[g.kind]:
+            arity = GATES[g.kind][0]
+            if len(g.fanin) != arity:
                 raise ArityMismatchError(
-                    f"gate {g.id}: {g.kind} takes {GATE_ARITY[g.kind]} fanins, "
+                    f"gate {g.id}: {g.kind} takes {arity} fanins, "
                     f"got {len(g.fanin)}")
             for f in g.fanin:
                 if f < 0 or f >= self.signal_count:
@@ -104,27 +120,7 @@ class Netlist:
                 f"expected {len(self.inputs)} input bits, got {len(inputs)}")
         vals = list(inputs) + [0] * len(self.gates)
         for g in self.gates:
-            f = g.fanin
-            k = g.kind
-            if k == "XOR2":
-                v = vals[f[0]] ^ vals[f[1]]
-            elif k == "AND2":
-                v = vals[f[0]] & vals[f[1]]
-            elif k == "XNOR2":
-                v = 1 ^ vals[f[0]] ^ vals[f[1]]
-            elif k == "OR2":
-                v = vals[f[0]] | vals[f[1]]
-            elif k == "NAND2":
-                v = 1 ^ (vals[f[0]] & vals[f[1]])
-            elif k == "NOR2":
-                v = 1 ^ (vals[f[0]] | vals[f[1]])
-            elif k == "NOT":
-                v = 1 ^ vals[f[0]]
-            elif k == "BUF":
-                v = vals[f[0]]
-            else:  # MUX2
-                v = vals[f[2]] if vals[f[0]] else vals[f[1]]
-            vals[g.id] = v
+            vals[g.id] = _GATE_FN[g.kind](vals, g.fanin)
         return [vals[o] for o in self.outputs]
 
     def evaluate_byte(self, x: int) -> int:

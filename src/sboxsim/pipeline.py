@@ -10,9 +10,10 @@ including pass-throughs, so no combinational path bypasses a register.
 
 For simulation speed each stage is compiled to a small Python function
 over packed register words (one int per boundary, bit k = cut slot k).
-An interpreted evaluator with per-gate override hooks provides the path
-used while a gate fault is active; the two must agree exactly and are
-cross-checked in the test suite.
+A stage evaluated while a gate fault is active runs a variant compiled by
+the same generator with the faulted gates forced, built on first use and
+cached per override set; the test suite checks every single-gate variant
+against an independent reference evaluator.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .netlist import (CostTable, DEFAULT_COSTS, Netlist, critical_path_delay,
-                      logic_depth, pack_bits, unpack_bits)
+from .netlist import (CostTable, DEFAULT_COSTS, GATES, Netlist,
+                      critical_path_delay, logic_depth)
 
 
 class TooManyStagesError(ValueError):
@@ -269,25 +270,13 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
 # Per-stage evaluation programs
 # ---------------------------------------------------------------------------
 
-_GATE_EXPR = {
-    "XOR2": "{0} ^ {1}",
-    "XNOR2": "1 ^ {0} ^ {1}",
-    "AND2": "{0} & {1}",
-    "NAND2": "1 ^ ({0} & {1})",
-    "OR2": "{0} | {1}",
-    "NOR2": "1 ^ ({0} | {1})",
-    "NOT": "1 ^ {0}",
-    "BUF": "{0}",
-    "MUX2": "({2} if {0} else {1})",
-}
-
-
 class StageProgram:
     """Evaluation of one pipeline stage over packed boundary words.
 
-    fast(prev) is the compiled path; interp(prev, overrides) walks the
-    same gate list and lets a fault overlay force individual gate outputs
-    (overrides maps gate id to 0, 1, or "flip").
+    fast(prev) is the fault-free compiled path.  interp(prev, overrides)
+    evaluates with individual gate outputs forced; overrides is a
+    frozenset of (gate id, 0 | 1 | "flip") pairs, as built by the fault
+    overlay, and each distinct set is compiled once, on first use.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -305,65 +294,37 @@ class StageProgram:
                 self.capture.append((False, sig))
         self.prev_slot = prev_slot
         self.stage_index = s
-        self._local = {g.id for g in self.gates}
-        self.fast = self._compile()
+        self._variants: dict = {}
+        self.fast = self._compile(frozenset())
 
-    def _compile(self):
-        reads = set()
-        for g in self.gates:
-            for f in g.fanin:
-                if f not in self._local:
-                    reads.add(f)
+    def _compile(self, overrides: frozenset):
+        forced = dict(overrides)
+        local = {g.id for g in self.gates}
+        reads = {f for g in self.gates for f in g.fanin if f not in local}
         lines = ["def _stage(r):"]
         for sig in sorted(reads):
             lines.append(f"    s{sig} = (r >> {self.prev_slot[sig]}) & 1")
         for g in self.gates:
-            args = [f"s{f}" for f in g.fanin]
-            lines.append(f"    s{g.id} = " + _GATE_EXPR[g.kind].format(*args))
+            expr = GATES[g.kind][1].format(*[f"s{f}" for f in g.fanin])
+            ov = forced.get(g.id)
+            if ov is not None:
+                expr = f"1 ^ ({expr})" if ov == "flip" else str(ov)
+            lines.append(f"    s{g.id} = {expr}")
         parts = []
         for k, (from_prev, ref) in enumerate(self.capture):
             term = f"((r >> {ref}) & 1)" if from_prev else f"s{ref}"
             parts.append(term if k == 0 else f"({term} << {k})")
         lines.append("    return " + (" | ".join(parts) if parts else "0"))
-        self.source = "\n".join(lines)
         ns: dict = {}
-        exec(self.source, ns)
+        exec("\n".join(lines), ns)
         return ns["_stage"]
 
-    def interp(self, prev: int, overrides: dict) -> int:
-        vals = {}
-        for sig, slot in self.prev_slot.items():
-            vals[sig] = (prev >> slot) & 1
-        for g in self.gates:
-            f = g.fanin
-            k = g.kind
-            if k == "XOR2":
-                v = vals[f[0]] ^ vals[f[1]]
-            elif k == "AND2":
-                v = vals[f[0]] & vals[f[1]]
-            elif k == "XNOR2":
-                v = 1 ^ vals[f[0]] ^ vals[f[1]]
-            elif k == "OR2":
-                v = vals[f[0]] | vals[f[1]]
-            elif k == "NAND2":
-                v = 1 ^ (vals[f[0]] & vals[f[1]])
-            elif k == "NOR2":
-                v = 1 ^ (vals[f[0]] | vals[f[1]])
-            elif k == "NOT":
-                v = 1 ^ vals[f[0]]
-            elif k == "BUF":
-                v = vals[f[0]]
-            else:
-                v = vals[f[2]] if vals[f[0]] else vals[f[1]]
-            ov = overrides.get(g.id)
-            if ov is not None:
-                v = v ^ 1 if ov == "flip" else ov
-            vals[g.id] = v
-        word = 0
-        for k, (from_prev, ref) in enumerate(self.capture):
-            bit = (prev >> ref) & 1 if from_prev else vals[ref]
-            word |= bit << k
-        return word
+    # perfbench/tracing.py counts the faulted path by this method's name.
+    def interp(self, prev: int, overrides: frozenset) -> int:
+        fn = self._variants.get(overrides)
+        if fn is None:
+            fn = self._variants[overrides] = self._compile(overrides)
+        return fn(prev)
 
 
 def build_stage_programs(design: PipelineDesign) -> list[StageProgram]:

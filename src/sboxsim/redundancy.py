@@ -37,59 +37,9 @@ from .faults import ActiveFault
 from .pipeline import PipelineDesign, StageProgram, build_stage_programs
 
 
-class WidthMismatchError(ValueError):
-    """Voter or comparator inputs of unequal width."""
-
-
-# ---------------------------------------------------------------------------
-# Unit primitives: comparator, hold-state voter, error aggregation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DmrVoterState:
-    """Hold-state voter storage: the last agreed word, and whether the
-    previous comparison mismatched."""
-
-    latch: int
-    width: int
-    stalled: bool = False
-
-
-def du_compare(reg_a: int, reg_b: int, width: int) -> bool:
-    """Detection unit: true iff any bit of the two register words differs."""
-    if reg_a >> width or reg_b >> width:
-        raise WidthMismatchError(f"operands wider than {width} bits")
-    return reg_a != reg_b
-
-
-def dmr_voter_step(a: int, b: int, state: DmrVoterState):
-    """One voter decision: pass and latch the agreed value, or hold.
-
-    Returns (output_word, new_state).  On mismatch the output is the
-    previous latch, unchanged, and the voter reports itself stalled.
-    """
-    if a >> state.width or b >> state.width:
-        raise WidthMismatchError(f"operands wider than {state.width} bits")
-    if a == b:
-        return a, DmrVoterState(latch=a, width=state.width, stalled=False)
-    return state.latch, DmrVoterState(latch=state.latch, width=state.width,
-                                      stalled=True)
-
-
-def cu_aggregate(errs) -> bool:
-    """Control unit: the global error is the OR of the per-stage errors."""
-    return any(errs)
-
-
 def majority3(a: int, b: int, c: int) -> int:
     """Bitwise two-out-of-three majority."""
     return (a & b) | (a & c) | (b & c)
-
-
-# ---------------------------------------------------------------------------
-# Machines
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

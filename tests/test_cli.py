@@ -36,6 +36,26 @@ def test_usage_error_exit_code():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--stages", "99"],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "0"],
+    ["campaign", "--design", "hfs", "--fault", "transient",
+     "--sites", "bogus"],
+    ["campaign", "--design", "hfs", "--fault", "transient",
+     "--durations", "0"],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--starts", "-1"],
+    ["simulate", "--design", "hfs", "--fault-site", "gate:999"],
+    ["simulate", "--design", "hfs", "--fault-site", "gate:60",
+     "--fault-duration", "x"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_synth_writes_design_json(tmp_path, capsys):
     out = tmp_path / "design.json"
     assert main(["synth", "--output", str(out)]) == 0

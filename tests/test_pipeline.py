@@ -2,6 +2,7 @@
 
 import pytest
 
+from sboxsim.faults import FaultSet, FaultSpec, GateSite
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.netlist import (DEFAULT_COSTS, Gate, Netlist,
                              critical_path_delay)
@@ -130,18 +131,75 @@ def test_streaming_matches_combinational_for_any_stage_count(sbox_netlist):
         assert streaming_eval(d, stream) == want, f"n={n}"
 
 
-def test_compiled_and_interpreted_stages_agree(design5):
+# Output of each gate kind, indexed by its fanin bits in fanin order; MUX2
+# fanin is (select, d0, d1).  Written out here rather than taken from the
+# netlist module, so the check below is independent of it.
+TRUTH_TABLES = {
+    "XOR2": ((0, 1), (1, 0)),
+    "XNOR2": ((1, 0), (0, 1)),
+    "AND2": ((0, 0), (0, 1)),
+    "NAND2": ((1, 1), (1, 0)),
+    "OR2": ((0, 1), (1, 1)),
+    "NOR2": ((1, 0), (0, 0)),
+    "NOT": (1, 0),
+    "BUF": (0, 1),
+    "MUX2": (((0, 0), (1, 1)), ((0, 1), (0, 1))),
+}
+
+
+# What each fault model forces a gate output to.
+FORCED_OUTPUT = {"sa0": 0, "sa1": 1, "flip": "flip"}
+
+
+def reference_stage(design, gates, s, word, forced):
+    """Stage s of design on boundary word `word`, with the outputs of the
+    gates in `forced` (gate id -> 0, 1 or "flip") overridden."""
+    srcs = design.cuts[s - 1] if s else design.netlist.inputs
+    val = {sig: (word >> k) & 1 for k, sig in enumerate(srcs)}
+    for g in gates:
+        v = TRUTH_TABLES[g.kind]
+        for f in g.fanin:
+            v = v[val[f]]
+        if g.id in forced:
+            v = 1 - v if forced[g.id] == "flip" else forced[g.id]
+        val[g.id] = v
+    out = 0
+    for k, sig in enumerate(design.cuts[s]):
+        out |= val[sig] << k
+    return out
+
+
+def test_faulted_stage_variants_match_reference(design5):
     programs = build_stage_programs(design5)
-    # Walk all 256 inputs through the pipe, comparing both evaluators at
-    # every stage transition.
+    # The words each stage sees when all 256 inputs walk the clean pipe.
+    words = [[] for _ in programs]
     for x in range(256):
         word = x
         for s, p in enumerate(programs):
-            fast = p.fast(word)
-            slow = p.interp(word, {})
-            assert fast == slow, f"stage {s}, input {x:#x}"
-            word = fast
+            words[s].append(word)
+            word = p.fast(word)
         assert design5.output_byte(word) == sbox_reference(x)
+
+    def check(s, specs):
+        p = programs[s]
+        overrides = FaultSet.bind(specs, design5, "original") \
+            .gate_overrides(0, s, 0)
+        forced = {spec.site.gate_id: FORCED_OUTPUT[spec.model]
+                  for spec in specs}
+        for w in words[s]:
+            assert p.interp(w, overrides) == \
+                reference_stage(design5, p.gates, s, w, forced), \
+                (s, [str(spec) for spec in specs], w)
+
+    for s, p in enumerate(programs):
+        for w in words[s]:
+            assert p.fast(w) == reference_stage(design5, p.gates, s, w, {})
+        for g in p.gates:
+            for model in ("sa0", "sa1", "flip"):
+                check(s, [FaultSpec(GateSite(g.id), model, 0, 1)])
+        first, last = p.gates[0], p.gates[-1]
+        check(s, [FaultSpec(GateSite(first.id), "sa1", 0, 1),
+                  FaultSpec(GateSite(last.id), "flip", 0, 1)])
 
 
 def test_design_json_roundtrip(design5):

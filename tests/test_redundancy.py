@@ -1,5 +1,5 @@
-"""Machine-level behavior: voter/comparator primitives, stall-and-recover
-traces, majority voting, time redundancy."""
+"""Machine-level behavior: stall-and-recover traces, majority voting, time
+redundancy."""
 
 import pytest
 
@@ -8,10 +8,8 @@ from sboxsim.faults import (FaultSpec, GateSite, PERMANENT, RegisterSite,
                             ComparatorSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import cut_pipeline
-from sboxsim.redundancy import (DmrVoterState, FcDmrMachine, TmrMachine,
-                                TtrMachine, WidthMismatchError, cu_aggregate,
-                                dmr_voter_step, du_compare, majority3,
-                                make_machine, ttr_run)
+from sboxsim.redundancy import (FcDmrMachine, TmrMachine, TtrMachine,
+                                majority3, make_machine, ttr_run)
 from sboxsim.synth import synth_sbox
 
 
@@ -21,46 +19,8 @@ def design():
 
 
 # ---------------------------------------------------------------------------
-# Unit primitives
+# Majority vote
 # ---------------------------------------------------------------------------
-
-
-def test_voter_match_passes_and_latches():
-    out, st = dmr_voter_step(5, 5, DmrVoterState(latch=9, width=4))
-    assert out == 5 and st.latch == 5 and not st.stalled
-
-
-def test_voter_mismatch_holds_previous_value():
-    out, st = dmr_voter_step(5, 7, DmrVoterState(latch=9, width=4))
-    assert out == 9 and st.latch == 9 and st.stalled
-
-
-def test_voter_hold_then_release():
-    st = DmrVoterState(latch=9, width=4)
-    out1, st = dmr_voter_step(5, 7, st)
-    out2, st = dmr_voter_step(5, 5, st)
-    assert (out1, out2) == (9, 5)
-    assert st.latch == 5 and not st.stalled
-
-
-def test_voter_width_checked():
-    with pytest.raises(WidthMismatchError):
-        dmr_voter_step(0x10, 0, DmrVoterState(latch=0, width=4))
-
-
-def test_du_compare():
-    assert du_compare(0x00, 0x00, 8) is False
-    assert du_compare(0x00, 0x01, 8) is True
-    assert du_compare(0xFF, 0xFF, 8) is False
-    with pytest.raises(WidthMismatchError):
-        du_compare(0x100, 0, 8)
-
-
-def test_cu_aggregate():
-    assert cu_aggregate([False, False, False]) is False
-    assert cu_aggregate([False, True, False]) is True
-    assert cu_aggregate([True, True, True]) is True
-    assert cu_aggregate([]) is False
 
 
 def test_majority3_bitwise():
