@@ -17,7 +17,18 @@ Runs exit early once the faulted machine's state, at matching input
 position, equals the golden run's snapshot and the fault window has
 closed: from that point both futures are bit-identical, so the remaining
 golden outputs are spliced in.  This is an exact check, not a heuristic,
-and it is what makes exhaustive campaigns cheap.
+and it is what makes exhaustive transient campaigns cheap.
+
+A permanent fault never closes its window, so it never splices.  When it
+is the only fault, starts at cycle 0 and hits a fixed-latency scheme
+(original, tmr, ttr), and no trace is requested, every output is a pure
+function of its input value; such a scenario skips the cycle loop and is
+classified by one bit-sliced pass of the faulty replica's stages over
+all 2**n_inputs input values at once (parallel-pattern single-fault
+propagation).  It is sdc at the first stream position whose value comes
+out wrong, with that position's golden emission cycle, else masked, and
+never stalls.  The cycle-accurate machines remain the reference the tests
+compare it with on full permanent grids.
 
 Campaigns enumerate site x model x duration x start-cycle grids (or a
 seeded random sample), optionally across worker processes; aggregation
@@ -33,10 +44,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .faults import (PERMANENT, STUCK0, STUCK1, FLIP, ActiveFault, FaultSet,
-                     FaultSpec, enumerate_sites)
+from .faults import (PERMANENT, REPLICAS, STUCK0, STUCK1, FLIP, ActiveFault,
+                     FaultSet, FaultSpec, enumerate_sites)
 from .pipeline import PipelineDesign, build_stage_programs
-from .redundancy import make_machine
+from .redundancy import majority3, make_machine
 
 MASKED = "masked"
 DETECTED_CORRECTED = "detected_corrected"
@@ -61,6 +72,7 @@ class GoldenRun:
     outputs: list
     states: list           # canonical state after k cycles, k = 0..cycles
     cycles: int
+    emitted_at: list       # the cycle of each output
 
 
 def golden_run(scheme: str, design: PipelineDesign, stream,
@@ -68,6 +80,7 @@ def golden_run(scheme: str, design: PipelineDesign, stream,
     m = make_machine(scheme, design, None, programs)
     stream = list(stream)
     outputs = []
+    emitted_at = []
     states = [m.canonical_state()]
     cap = 4 * len(stream) + 4 * design.n_stages + 64
     while m.emitted < len(stream) and m.cycle < cap:
@@ -75,10 +88,12 @@ def golden_run(scheme: str, design: PipelineDesign, stream,
         rec = m.step(inp)
         if rec.output is not None:
             outputs.append(rec.output)
+            emitted_at.append(rec.cycle)
         states.append(m.canonical_state())
     if m.emitted != len(stream):
         raise RuntimeError("golden run failed to drain the pipeline")
-    return GoldenRun(outputs=outputs, states=states, cycles=m.cycle)
+    return GoldenRun(outputs=outputs, states=states, cycles=m.cycle,
+                     emitted_at=emitted_at)
 
 
 def run_scenario(scheme: str, design: PipelineDesign, stream,
@@ -89,7 +104,9 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     spec is one FaultSpec, or a list of them for a simultaneous multi-fault
     scenario (classification only; no scheme guarantees multi-fault
     correction).  Returns (Classification, trace) where trace is a list of
-    StepRecord when requested, else None.
+    StepRecord when requested, else None.  A lone permanent fault from
+    cycle 0 on original, tmr or ttr, untraced, is classified without a
+    machine by one bit-sliced pass (see the module docstring).
     """
     stream = list(stream)
     if golden is None:
@@ -97,6 +114,11 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
     fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1
              else ActiveFault(specs[0], design, scheme))
+    if (scheme in _LANE_SCHEMES and len(specs) == 1 and not collect_trace
+            and specs[0].duration is PERMANENT and specs[0].start_cycle == 0
+            and len(design.netlist.inputs) <= _MAX_LANE_INPUTS):
+        return _classify_permanent(scheme, design, stream, fault, golden,
+                                   programs), None
     m = make_machine(scheme, design, fault, programs)
     want = len(stream)
 
@@ -148,6 +170,57 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     if detected or m.stall_cycles:
         return Classification(DETECTED_CORRECTED, m.stall_cycles), trace
     return Classification(MASKED), trace
+
+
+_LANE_SCHEMES = ("original", "tmr", "ttr")
+_MAX_LANE_INPUTS = 16      # 65,536 lanes; wider inputs take the cycle loop
+
+
+def _classify_permanent(scheme: str, design: PipelineDesign, stream,
+                        fault: ActiveFault, golden: GoldenRun,
+                        programs=None) -> Classification:
+    """Classify a permanent fault active from cycle 0 on a fixed-latency
+    scheme with one bit-sliced pass of the faulty replica over every input
+    value: each output is then a pure function of its input, so the set of
+    input values whose output is wrong decides the whole scenario."""
+    if programs is None:
+        programs = build_stage_programs(design)
+    n_lanes = programs[0].n_lanes
+    slot = fault.reg_mask.bit_length() - 1
+    stuck = 0 if fault.model == STUCK0 else (1 << n_lanes) - 1
+
+    def stick(words):        # a stuck register bit, read by what follows
+        return words[:slot] + (stuck,) + words[slot + 1:]
+
+    def last_words(replica=None):
+        """One replica's last-boundary lane words; None is fault-free."""
+        words = design.netlist.input_lanes
+        for s, p in enumerate(programs):
+            ov = replica is not None and fault.gate_overrides(0, s, replica)
+            words = p.lanes(words, ov or frozenset())
+            if replica is not None and s == fault.reg_boundary and \
+                    replica == fault.reg_replica:
+                words = stick(words)
+        return words
+
+    clean = last_words()
+    faulty = fault.spec.site.replica
+    rows = [last_words(r) if r == faulty else clean
+            for r in range(REPLICAS[scheme])]
+    if scheme == "ttr":      # the result buffer holds three equal passes
+        rows *= 3
+        row = fault.reg_boundary - design.n_stages
+        if row >= 0:
+            rows[row] = stick(rows[0])
+    out = rows[0] if len(rows) == 1 else [majority3(*w) for w in zip(*rows)]
+    bad = 0                  # bit x set: the output for input x is wrong
+    for k in design.output_slots:
+        bad |= out[k] ^ clean[k]
+    if bad:
+        for i, x in enumerate(stream):
+            if bad >> (x & (n_lanes - 1)) & 1:
+                return Classification(SDC, 0, golden.emitted_at[i])
+    return Classification(MASKED)
 
 
 def _first_mismatch(got, want) -> Optional[int]:
@@ -297,6 +370,9 @@ def enumerate_scenarios(design: PipelineDesign,
                 for start in starts:
                     specs.append(FaultSpec(site, model, start, duration))
     if config.sample is not None:
+        if config.sample < 1:
+            raise EmptyCampaignError(
+                f"sample must be at least 1, got {config.sample}")
         rng = random.Random(config.seed)
         if config.sample < len(specs):
             specs = rng.sample(specs, config.sample)

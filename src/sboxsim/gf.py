@@ -25,7 +25,6 @@ published S-box table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -263,6 +262,7 @@ class FieldParams:
             return cls.from_json(fh.read())
 
     def sha256(self) -> str:
+        import hashlib      # on demand: loading OpenSSL adds ~3.5 MB RSS
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 

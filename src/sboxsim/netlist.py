@@ -14,9 +14,9 @@ re-costed against a different cell library by swapping one table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -40,25 +40,28 @@ class InputWidthMismatchError(NetlistError):
     """An evaluation was given the wrong number of input bits."""
 
 
-# Gate kind -> (fanin arity, output as a Python expression over the fanin
-# bits {0}, {1}, {2}).  MUX2 fanin order is (select, d0, d1).  This table is
-# the only definition of gate behaviour: Netlist.evaluate and the compiled
-# pipeline stages are both generated from it.
+# Gate kind -> (fanin arity, output as a bitwise Python expression over the
+# fanins {0}, {1}, {2} and the constant {one}).  MUX2 fanin order is
+# (select, d0, d1).  {one} is 1 for single bits and the all-ones lane mask
+# for bit-sliced words, so each expression serves both.  This table is the
+# only definition of gate behaviour: Netlist.evaluate and the compiled
+# pipeline stages, scalar and bit-sliced, are all generated from it.
 GATES = {
     "XOR2": (2, "{0} ^ {1}"),
-    "XNOR2": (2, "1 ^ {0} ^ {1}"),
+    "XNOR2": (2, "{one} ^ {0} ^ {1}"),
     "AND2": (2, "{0} & {1}"),
-    "NAND2": (2, "1 ^ ({0} & {1})"),
+    "NAND2": (2, "{one} ^ ({0} & {1})"),
     "OR2": (2, "{0} | {1}"),
-    "NOR2": (2, "1 ^ ({0} | {1})"),
-    "NOT": (1, "1 ^ {0}"),
+    "NOR2": (2, "{one} ^ ({0} | {1})"),
+    "NOT": (1, "{one} ^ {0}"),
     "BUF": (1, "{0}"),
-    "MUX2": (3, "({2} if {0} else {1})"),
+    "MUX2": (3, "({0} & {2}) | (({one} ^ {0}) & {1})"),
 }
 
-# Each kind's output as a function of (signal values, fanin ids).
-_GATE_FN = {kind: eval("lambda v, f: "
-                       + expr.format("v[f[0]]", "v[f[1]]", "v[f[2]]"))
+# Each kind's output as a function of (signal values, fanin ids, one).
+_GATE_FN = {kind: eval("lambda v, f, one: "
+                       + expr.format("v[f[0]]", "v[f[1]]", "v[f[2]]",
+                                     one="one"))
             for kind, (_, expr) in GATES.items()}
 
 
@@ -120,8 +123,28 @@ class Netlist:
                 f"expected {len(self.inputs)} input bits, got {len(inputs)}")
         vals = list(inputs) + [0] * len(self.gates)
         for g in self.gates:
-            vals[g.id] = _GATE_FN[g.kind](vals, g.fanin)
+            vals[g.id] = _GATE_FN[g.kind](vals, g.fanin, 1)
         return [vals[o] for o in self.outputs]
+
+    @cached_property
+    def input_lanes(self) -> tuple[int, ...]:
+        """The inputs bit-sliced over every input value: bit x of word k
+        is bit k of x, for x in 0 .. 2**n_inputs - 1."""
+        n_in = len(self.inputs)
+        return tuple(sum(1 << x for x in range(1 << n_in) if x >> k & 1)
+                     for k in range(n_in))
+
+    def truth_table(self) -> list[int]:
+        """The packed output (LSB-first) for every input value, from one
+        bit-sliced pass over all of them."""
+        n = 1 << len(self.inputs)
+        one = (1 << n) - 1
+        vals = list(self.input_lanes) + [0] * len(self.gates)
+        for g in self.gates:
+            vals[g.id] = _GATE_FN[g.kind](vals, g.fanin, one)
+        outs = [vals[o] for o in self.outputs]
+        return [sum((w >> x & 1) << i for i, w in enumerate(outs))
+                for x in range(n)]
 
     def evaluate_byte(self, x: int) -> int:
         """Convenience for 8-in/8-out netlists: byte in, byte out, LSB-first."""
@@ -230,6 +253,7 @@ class CostTable:
             fh.write("\n")
 
     def sha256(self) -> str:
+        import hashlib      # on demand: loading OpenSSL adds ~3.5 MB RSS
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -14,6 +14,14 @@ A stage evaluated while a gate fault is active runs a variant compiled by
 the same generator with the faulted gates forced, built on first use and
 cached per override set; the test suite checks every single-gate variant
 against an independent reference evaluator.
+
+The same generator also emits a lane mode for bit-sliced evaluation: the
+stage reads and returns a tuple of slot words, bit x of each word being
+that slot's value for input value x, so one call evaluates the stage for
+every input value (2**n_inputs lanes; 256 for the S-box).  The all-ones
+lane mask stands in for the gate table's constant one, and a forced gate
+becomes 0 or the mask.  Lane variants are cached per override set like
+the scalar ones, and the tests check each against its scalar variant.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .netlist import (CostTable, DEFAULT_COSTS, GATES, Netlist,
 
 
 class TooManyStagesError(ValueError):
-    """Asked for more pipeline stages than the circuit has logic depth."""
+    """Asked for a stage count outside 1..logic depth."""
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,12 @@ def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
     stage = [0] * netlist.signal_count
     arrive = [0.0] * netlist.signal_count
     for g in netlist.gates:
-        s = max(stage[f] for f in g.fanin)
-        start = 0.0
+        # The latest fanin stage, and the latest arrival within it.
+        s, start = -1, 0.0
         for f in g.fanin:
-            if stage[f] == s and arrive[f] > start:
+            if stage[f] > s:
+                s, start = stage[f], arrive[f]
+            elif stage[f] == s and arrive[f] > start:
                 start = arrive[f]
         a = start + delays[g.id]
         if a > budget + 1e-9:
@@ -200,12 +210,13 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
 
     Delay leveling first (bisection over the per-stage budget), then a
     register-width reduction pass that must not worsen the achieved
-    balance.  Raises TooManyStagesError when n_stages exceeds the
-    circuit's gate depth (some stage would have to be empty).
+    balance.  Raises TooManyStagesError when n_stages is below 1 or
+    exceeds the circuit's gate depth (some stage would have to be empty).
     """
     netlist.validate()
     if n_stages < 1:
-        raise ValueError("n_stages must be positive")
+        raise TooManyStagesError(
+            f"{n_stages} stages requested but at least 1 is needed")
     depth = logic_depth(netlist)
     if n_stages > depth:
         raise TooManyStagesError(
@@ -277,6 +288,9 @@ class StageProgram:
     evaluates with individual gate outputs forced; overrides is a
     frozenset of (gate id, 0 | 1 | "flip") pairs, as built by the fault
     overlay, and each distinct set is compiled once, on first use.
+    lanes(words, overrides) is the bit-sliced mode: words holds one int
+    per boundary slot whose bit x is that slot's value for input value x,
+    and it returns the captured slot words as a tuple.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -294,28 +308,41 @@ class StageProgram:
                 self.capture.append((False, sig))
         self.prev_slot = prev_slot
         self.stage_index = s
+        self.n_lanes = 1 << n_in
         self._variants: dict = {}
+        self._lane_variants: dict = {}
         self.fast = self._compile(frozenset())
 
-    def _compile(self, overrides: frozenset):
+    def _compile(self, overrides: frozenset, lanes: bool = False):
+        """One stage as Python source: packed bits in and out, or, with
+        lanes, a tuple of slot words in and out where the lane mask m
+        stands for the constant one."""
         forced = dict(overrides)
+        one = "m" if lanes else "1"
         local = {g.id for g in self.gates}
         reads = {f for g in self.gates for f in g.fanin if f not in local}
+        read = "r[{}]" if lanes else "((r >> {}) & 1)"
         lines = ["def _stage(r):"]
         for sig in sorted(reads):
-            lines.append(f"    s{sig} = (r >> {self.prev_slot[sig]}) & 1")
+            lines.append(f"    s{sig} = " + read.format(self.prev_slot[sig]))
         for g in self.gates:
-            expr = GATES[g.kind][1].format(*[f"s{f}" for f in g.fanin])
+            expr = GATES[g.kind][1].format(*[f"s{f}" for f in g.fanin],
+                                           one=one)
             ov = forced.get(g.id)
             if ov is not None:
-                expr = f"1 ^ ({expr})" if ov == "flip" else str(ov)
+                expr = (f"{one} ^ ({expr})" if ov == "flip"
+                        else one if ov == 1 else "0")
             lines.append(f"    s{g.id} = {expr}")
-        parts = []
-        for k, (from_prev, ref) in enumerate(self.capture):
-            term = f"((r >> {ref}) & 1)" if from_prev else f"s{ref}"
-            parts.append(term if k == 0 else f"({term} << {k})")
-        lines.append("    return " + (" | ".join(parts) if parts else "0"))
-        ns: dict = {}
+        terms = [read.format(ref) if from_prev else f"s{ref}"
+                 for from_prev, ref in self.capture]
+        if lanes:
+            lines.append("    return (" + "".join(t + ", " for t in terms)
+                         + ")")
+        else:
+            parts = [t if k == 0 else f"({t} << {k})"
+                     for k, t in enumerate(terms)]
+            lines.append("    return " + (" | ".join(parts) or "0"))
+        ns: dict = {"m": (1 << self.n_lanes) - 1} if lanes else {}
         exec("\n".join(lines), ns)
         return ns["_stage"]
 
@@ -325,6 +352,13 @@ class StageProgram:
         if fn is None:
             fn = self._variants[overrides] = self._compile(overrides)
         return fn(prev)
+
+    def lanes(self, words: tuple, overrides: frozenset) -> tuple:
+        fn = self._lane_variants.get(overrides)
+        if fn is None:
+            fn = self._lane_variants[overrides] = self._compile(overrides,
+                                                                True)
+        return fn(words)
 
 
 def build_stage_programs(design: PipelineDesign) -> list[StageProgram]:

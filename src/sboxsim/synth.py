@@ -300,8 +300,7 @@ def synth_sbox(params: FieldParams) -> Netlist:
     y = _materialize(b, y_syms, invert_mask=params.affine_b)
 
     nl = b.build(y)
-    for v in range(256):
-        got = nl.evaluate_byte(v)
+    for v, got in enumerate(nl.truth_table()):
         want = sbox_reference(v)
         if got != want:
             raise InvalidParamsError(

@@ -2,15 +2,18 @@
 aggregation, file formats."""
 
 import json
+import random
 
 import pytest
 
+from sboxsim import campaign
 from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
                               default_stream, enumerate_scenarios,
                               golden_run, run_campaign, run_scenario)
 from sboxsim.faults import FaultSpec, GateSite, PERMANENT, RegisterSite
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
-from sboxsim.pipeline import cut_pipeline
+from sboxsim.pipeline import build_stage_programs, cut_pipeline
+from sboxsim.redundancy import make_machine
 from sboxsim.synth import synth_sbox
 
 
@@ -36,6 +39,62 @@ def test_golden_runs_match_reference(design, stream):
     for scheme in ("original", "hfs", "tmr", "ttr"):
         g = golden_run(scheme, design, stream)
         assert g.outputs == [sbox_reference(x) for x in stream]
+
+
+def test_golden_emitted_at_matches_traced_run(design, stream):
+    for scheme in ("original", "hfs", "tmr", "ttr"):
+        m = make_machine(scheme, design)
+        cycles = []
+        while m.emitted < len(stream):
+            rec = m.step(stream[m.consumed] if m.consumed < len(stream)
+                         else None)
+            if rec.output is not None:
+                cycles.append(rec.cycle)
+        assert golden_run(scheme, design, stream).emitted_at == cycles
+
+
+@pytest.mark.parametrize("scheme", ["original", "tmr", "ttr"])
+def test_permanent_lane_path_equals_cycle_loop(design, scheme, monkeypatch):
+    # Permanent faults from cycle 0 on the fixed-latency schemes are
+    # classified by one bit-sliced pass and build no machine; a requested
+    # trace runs the cycle-accurate machines, which stay the oracle.  The
+    # whole permanent grid, every site kind.
+    stream = random.Random(7).sample(range(256), 64)
+    programs = build_stage_programs(design)
+    golden = golden_run(scheme, design, stream, programs)
+    specs = enumerate_scenarios(
+        design, CampaignConfig(scheme=scheme, fault_class="permanent"))
+    with monkeypatch.context() as mp:
+        mp.setattr(campaign, "make_machine", None)
+        fast = [(str(spec), run_scenario(scheme, design, stream, spec,
+                                         golden, programs)[0])
+                for spec in specs]
+    slow = [(str(spec), run_scenario(scheme, design, stream, spec, golden,
+                                     programs, collect_trace=True)[0])
+            for spec in specs]
+    assert fast == slow
+
+
+def test_other_scenarios_keep_the_cycle_loop(design, stream, monkeypatch):
+    # Everything but a lone permanent fault from cycle 0 on original, tmr
+    # or ttr without a trace still runs a machine.
+    golden = golden_run("original", design, stream)
+
+    def machine_built(*args):
+        raise LookupError("cycle loop")
+    monkeypatch.setattr(campaign, "make_machine", machine_built)
+    site = GateSite(design.netlist.gates[60].id)
+    late = FaultSpec(site, "sa1", 3, PERMANENT)
+    early = FaultSpec(site, "sa1", 0, PERMANENT)
+    for scheme, spec, trace in (("hfs", early, False),
+                                ("original", late, False),
+                                ("original", FaultSpec(site, "sa1", 0, 9),
+                                 False),
+                                ("original", [early, early], False),
+                                ("original", early, True)):
+        with pytest.raises(LookupError):
+            run_scenario(scheme, design, stream, spec, golden,
+                         collect_trace=trace)
 
 
 def test_cached_and_fresh_golden_agree(design, stream):
@@ -136,6 +195,10 @@ def test_empty_campaign_rejected(design):
                          site_kinds=("nonexistent",))
     with pytest.raises(EmptyCampaignError):
         enumerate_scenarios(design, cfg)
+    for sample in (0, -1):
+        with pytest.raises(EmptyCampaignError):
+            enumerate_scenarios(design, CampaignConfig(
+                scheme="hfs", fault_class="transient", sample=sample))
 
 
 def test_campaign_counts_sum_and_coverage(design):

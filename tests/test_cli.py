@@ -38,7 +38,9 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("argv", [
     ["report", "--stages", "99"],
+    ["report", "--stages", "0"],
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "0"],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "-1"],
     ["campaign", "--design", "hfs", "--fault", "transient",
      "--sites", "bogus"],
     ["campaign", "--design", "hfs", "--fault", "transient",

@@ -63,6 +63,19 @@ def test_evaluate_truth_tables():
     assert mux.evaluate([1, 1, 0]) == [0]
 
 
+def test_truth_table_is_bit_sliced_evaluate():
+    # Every gate kind once; the inverting kinds only come out right in the
+    # high lanes if the lane mask stands in for the constant one.
+    nl = Netlist(inputs=(0, 1, 2), outputs=(11, 5, 3), gates=(
+        Gate(3, "XOR2", (0, 1)), Gate(4, "XNOR2", (1, 2)),
+        Gate(5, "AND2", (3, 4)), Gate(6, "NAND2", (0, 2)),
+        Gate(7, "OR2", (5, 6)), Gate(8, "NOR2", (7, 1)),
+        Gate(9, "NOT", (8,)), Gate(10, "BUF", (9,)),
+        Gate(11, "MUX2", (0, 10, 6))))
+    assert nl.truth_table() == [pack_bits(nl.evaluate(unpack_bits(x, 3)))
+                                for x in range(8)]
+
+
 def test_evaluate_rejects_width_mismatch():
     with pytest.raises(InputWidthMismatchError):
         xor_pair().evaluate([0])

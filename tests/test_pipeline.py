@@ -169,6 +169,13 @@ def reference_stage(design, gates, s, word, forced):
     return out
 
 
+def to_lanes(packed, width):
+    """One packed word per input value, bit-sliced: one word per slot whose
+    bit x is that slot's bit in packed[x]."""
+    return tuple(sum((w >> k & 1) << x for x, w in enumerate(packed))
+                 for k in range(width))
+
+
 def test_faulted_stage_variants_match_reference(design5):
     programs = build_stage_programs(design5)
     # The words each stage sees when all 256 inputs walk the clean pipe.
@@ -179,21 +186,29 @@ def test_faulted_stage_variants_match_reference(design5):
             words[s].append(word)
             word = p.fast(word)
         assert design5.output_byte(word) == sbox_reference(x)
+    widths = [len(design5.netlist.inputs)] + [len(c) for c in design5.cuts]
+    lanes_in = [to_lanes(words[s], widths[s]) for s in range(len(programs))]
+    assert lanes_in[0] == design5.netlist.input_lanes
 
     def check(s, specs):
+        # Scalar variant against the reference, then lane mode against the
+        # scalar variant, bit for bit on all 256 inputs.
         p = programs[s]
         overrides = FaultSet.bind(specs, design5, "original") \
-            .gate_overrides(0, s, 0)
+            .gate_overrides(0, s, 0) if specs else frozenset()
         forced = {spec.site.gate_id: FORCED_OUTPUT[spec.model]
                   for spec in specs}
+        got = []
         for w in words[s]:
-            assert p.interp(w, overrides) == \
+            got.append(p.interp(w, overrides) if specs else p.fast(w))
+            assert got[-1] == \
                 reference_stage(design5, p.gates, s, w, forced), \
                 (s, [str(spec) for spec in specs], w)
+        assert p.lanes(lanes_in[s], overrides) == \
+            to_lanes(got, widths[s + 1]), (s, [str(spec) for spec in specs])
 
     for s, p in enumerate(programs):
-        for w in words[s]:
-            assert p.fast(w) == reference_stage(design5, p.gates, s, w, {})
+        check(s, [])
         for g in p.gates:
             for model in ("sa0", "sa1", "flip"):
                 check(s, [FaultSpec(GateSite(g.id), model, 0, 1)])

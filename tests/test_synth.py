@@ -21,6 +21,8 @@ def test_sbox_netlist_known_bytes(sbox_netlist):
 def test_sbox_netlist_matches_table_exhaustively(sbox_netlist):
     for x in range(256):
         assert sbox_netlist.evaluate_byte(x) == sbox_reference(x), f"{x:#x}"
+    assert sbox_netlist.truth_table() == [sbox_reference(x)
+                                          for x in range(256)]
 
 
 def test_sbox_netlist_validates(sbox_netlist):
