@@ -19,6 +19,13 @@ closed: from that point both futures are bit-identical, so the remaining
 golden outputs are spliced in.  This is an exact check, not a heuristic,
 and it is what makes exhaustive transient campaigns cheap.
 
+Before its first fault cycle a scenario is the golden run, so it does not
+re-simulate that clean prefix: it restores the machine to the golden
+snapshot at that cycle and takes the golden outputs emitted so far (the
+resume of checkpoint-based fault injection).  A scenario that collects a
+trace still starts at cycle 0, so the trace covers the whole run and the
+traced run stays the reference the tests compare the resume with.
+
 A permanent fault never closes its window, so it never splices.  When it
 is the only fault, starts at cycle 0 and hits a fixed-latency scheme
 (original, tmr, ttr), and no trace is requested, every output is a pure
@@ -42,6 +49,7 @@ import csv
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 from .faults import (PERMANENT, REPLICAS, STUCK0, STUCK1, FLIP, ActiveFault,
@@ -104,9 +112,11 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     spec is one FaultSpec, or a list of them for a simultaneous multi-fault
     scenario (classification only; no scheme guarantees multi-fault
     correction).  Returns (Classification, trace) where trace is a list of
-    StepRecord when requested, else None.  A lone permanent fault from
-    cycle 0 on original, tmr or ttr, untraced, is classified without a
-    machine by one bit-sliced pass (see the module docstring).
+    StepRecord when requested, else None.  An untraced scenario starts
+    from the golden snapshot at its first fault cycle; a traced one runs
+    from cycle 0.  A lone permanent fault from cycle 0 on original, tmr or
+    ttr, untraced, is classified without a machine by one bit-sliced pass
+    (see the module docstring).
     """
     stream = list(stream)
     if golden is None:
@@ -121,6 +131,15 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
                                    programs), None
     m = make_machine(scheme, design, fault, programs)
     want = len(stream)
+    outputs = []
+    emitted_at = []
+    if not collect_trace:
+        # No fault is active before the first start, so until then the
+        # faulted run is the golden run: resume from its snapshot.
+        k = min(min(s.start_cycle for s in specs), golden.cycles)
+        m.restore(golden.states[k], k)
+        outputs = golden.outputs[:m.emitted]
+        emitted_at = golden.emitted_at[:m.emitted]
 
     window = 0
     for s in specs:
@@ -128,8 +147,6 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
                      else s.start_cycle + s.duration)
     cap = golden.cycles + window + max_extra_cycles
 
-    outputs = []
-    emitted_at = []
     trace = [] if collect_trace else None
     detected = False
     spliced = False
@@ -234,6 +251,7 @@ def _first_mismatch(got, want) -> Optional[int]:
 # Campaign configuration and aggregation
 # ---------------------------------------------------------------------------
 
+FAULT_CLASSES = ("transient", "permanent")
 DEFAULT_DURATIONS = (1, 2, 5, 10)
 DEFAULT_SEED = 0x5B0C
 
@@ -247,7 +265,7 @@ def default_stream(seed: int = DEFAULT_SEED) -> bytes:
 @dataclass(frozen=True)
 class CampaignConfig:
     scheme: str
-    fault_class: str = "transient"        # "transient" | "permanent"
+    fault_class: str = "transient"        # one of FAULT_CLASSES
     durations: tuple = DEFAULT_DURATIONS  # transient windows, in cycles
     models: tuple = None                  # default: flip / both stuck-ats
     site_kinds: tuple = ("gate", "register")
@@ -256,6 +274,15 @@ class CampaignConfig:
     sample: Optional[int] = None          # None = exhaustive
     seed: int = DEFAULT_SEED
     workers: int = 1
+
+    def __post_init__(self):
+        # Checked here because a config file sets these fields directly.
+        if self.fault_class not in FAULT_CLASSES:
+            raise ValueError(f"unknown fault class {self.fault_class!r}; "
+                             f"expected one of {', '.join(FAULT_CLASSES)}")
+        if self.sample is not None and type(self.sample) is not int:
+            raise ValueError(f"sample must be an integer or null, "
+                             f"got {self.sample!r}")
 
     def resolved_models(self) -> tuple:
         if self.models is not None:
@@ -355,30 +382,34 @@ class CampaignResult:
 
 def enumerate_scenarios(design: PipelineDesign,
                         config: CampaignConfig) -> list[FaultSpec]:
+    """The site x model x duration x start grid, site-major, or a seeded
+    sample of it.  A sample draws grid indices, so only the drawn specs are
+    built; it picks the same specs in the same order as sampling the built
+    grid would, since random.sample depends only on the population size."""
     sites = [s for s in enumerate_sites(design, config.scheme)
              if s.kind in config.site_kinds]
-    models = config.resolved_models()
-    starts = config.resolved_starts(design)
     durations = (config.durations if config.fault_class == "transient"
                  else (PERMANENT,))
-    specs = []
-    for site in sites:
-        for model in models:
-            for duration in durations:
-                if duration is PERMANENT and model == FLIP:
-                    continue
-                for start in starts:
-                    specs.append(FaultSpec(site, model, start, duration))
+    cells = [(model, start, duration)
+             for model in config.resolved_models() for duration in durations
+             if not (duration is PERMANENT and model == FLIP)
+             for start in config.resolved_starts(design)]
+    n = len(sites) * len(cells)
     if config.sample is not None:
         if config.sample < 1:
             raise EmptyCampaignError(
                 f"sample must be at least 1, got {config.sample}")
-        rng = random.Random(config.seed)
-        if config.sample < len(specs):
-            specs = rng.sample(specs, config.sample)
-    if not specs:
+        if config.sample < n:
+            # Build every cell once, so a bad start or duration is
+            # rejected whether or not the sample draws it.
+            for cell in cells:
+                FaultSpec(sites[0], *cell)
+            picks = random.Random(config.seed).sample(range(n), config.sample)
+            return [FaultSpec(sites[i // len(cells)], *cells[i % len(cells)])
+                    for i in picks]
+    if not n:
         raise EmptyCampaignError("no fault scenarios selected")
-    return specs
+    return [FaultSpec(site, *cell) for site, cell in product(sites, cells)]
 
 
 def _run_chunk(scheme, design, stream, specs, golden, programs=None) -> list:

@@ -16,7 +16,8 @@ import sys
 
 from . import __version__
 from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
-                       run_campaign, run_scenario, DEFAULT_SEED)
+                       FAULT_CLASSES, run_campaign, run_scenario,
+                       DEFAULT_SEED)
 from .faults import (ComparatorSite, FaultSpec, GateSite, InvalidFaultError,
                      InvalidSiteError, PERMANENT, RegisterSite,
                      VoterLatchSite)
@@ -213,7 +214,8 @@ def cmd_campaign(args) -> int:
         try:
             with open(args.config) as fh:
                 config = CampaignConfig.from_json_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as e:
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as e:
             raise ConfigError(f"cannot load campaign config "
                               f"{args.config}: {e}")
         config = CampaignConfig(**{**config.__dict__,
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "guarantee checking")
     _add_common(p)
     p.add_argument("--design", choices=("original", "hfs", "tmr", "ttr"))
-    p.add_argument("--fault", choices=("transient", "permanent"))
+    p.add_argument("--fault", choices=FAULT_CLASSES)
     p.add_argument("--config", help="campaign config JSON (replaces the "
                                     "selection flags)")
     p.add_argument("--durations", default="1,2,5,10",

@@ -18,6 +18,13 @@ Four machines share one pipelined S-box design:
 All machines expose step(input_byte_or_None) -> StepRecord and the
 counters consumed / emitted / stall_cycles, and a canonical_state() tuple
 that the campaign runner uses for golden-state convergence checks.
+restore(state, cycle) is its exact inverse: it puts the machine into the
+state canonical_state() returned after `cycle` cycles, copied into fresh
+lists so that stepping never alters the snapshot.  The campaign runner
+uses it to start a scenario from the golden run at its first fault cycle.
+The stall count is not part of the state; a restored machine keeps its
+own.
+
 Faults are bound at construction as an ActiveFault (or None) and perturb
 reads only; see the faults module.
 
@@ -117,6 +124,10 @@ class PlainPipelineMachine(_MachineBase):
         return (tuple(self.regs), tuple(self.valid),
                 self.consumed, self.emitted)
 
+    def restore(self, state, cycle: int) -> None:
+        regs, valid, self.consumed, self.emitted = state
+        self.regs, self.valid, self.cycle = list(regs), list(valid), cycle
+
 
 class FcDmrMachine(_MachineBase):
     """Duplicated pipeline with per-stage detection and hold-state voters.
@@ -196,6 +207,13 @@ class FcDmrMachine(_MachineBase):
         return (tuple(self.regs_a), tuple(self.regs_b), tuple(self.latches),
                 tuple(self.valid), self.in_hold, self.consumed, self.emitted)
 
+    def restore(self, state, cycle: int) -> None:
+        (regs_a, regs_b, latches, valid, self.in_hold, self.consumed,
+         self.emitted) = state
+        self.regs_a, self.regs_b = list(regs_a), list(regs_b)
+        self.latches, self.valid = list(latches), list(valid)
+        self.cycle = cycle
+
 
 class TmrMachine(_MachineBase):
     """Three replica pipelines, output-register majority vote, no stalls."""
@@ -235,6 +253,11 @@ class TmrMachine(_MachineBase):
     def canonical_state(self):
         return (tuple(tuple(r) for r in self.regs), tuple(self.valid),
                 self.consumed, self.emitted)
+
+    def restore(self, state, cycle: int) -> None:
+        regs, valid, self.consumed, self.emitted = state
+        self.regs = [list(r) for r in regs]
+        self.valid, self.cycle = list(valid), cycle
 
 
 class TtrMachine(_MachineBase):
@@ -293,6 +316,12 @@ class TtrMachine(_MachineBase):
     def canonical_state(self):
         return (tuple(self.regs), tuple(self.valid), tuple(self.buffer),
                 self.phase, self.held, self.consumed, self.emitted)
+
+    def restore(self, state, cycle: int) -> None:
+        (regs, valid, buffer, self.phase, self.held, self.consumed,
+         self.emitted) = state
+        self.regs, self.valid = list(regs), list(valid)
+        self.buffer, self.cycle = list(buffer), cycle
 
 
 def ttr_run(machine: TtrMachine, value: int) -> int:

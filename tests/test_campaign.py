@@ -1,16 +1,19 @@
 """Campaign machinery: classification rules, caching, determinism,
 aggregation, file formats."""
 
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sboxsim import campaign
 from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
                               default_stream, enumerate_scenarios,
                               golden_run, run_campaign, run_scenario)
-from sboxsim.faults import FaultSpec, GateSite, PERMANENT, RegisterSite
+from sboxsim.faults import (FLIP, FaultSpec, GateSite, PERMANENT,
+                            RegisterSite, enumerate_sites)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import build_stage_programs, cut_pipeline
 from sboxsim.redundancy import make_machine
@@ -95,6 +98,51 @@ def test_other_scenarios_keep_the_cycle_loop(design, stream, monkeypatch):
         with pytest.raises(LookupError):
             run_scenario(scheme, design, stream, spec, golden,
                          collect_trace=trace)
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_resume_equals_run_from_cycle_zero(design, scheme):
+    # An untraced scenario resumes from the golden snapshot at its first
+    # fault cycle; a traced one runs from cycle 0 and is the reference.
+    # Every site of the scheme gets a transient and a permanent fault,
+    # models, durations and starts taking turns; starts run from cycle 0
+    # through mid-stream to the drain and past it.  Then two-fault sets
+    # whose members start at different cycles.
+    stream = [0x00, 0x53, 0xFF, 0x1C, 0xA7, 0x80]
+    programs = build_stage_programs(design)
+    golden = golden_run(scheme, design, stream, programs)
+    end = golden.cycles
+    starts = (0, 1, end // 2, end - 3, end, end + 4)
+    specs = []
+    for i, site in enumerate(enumerate_sites(design, scheme)):
+        specs.append(FaultSpec(site, ("flip", "sa0", "sa1")[i % 3],
+                               starts[i // 3 % 6], (1, 3, 10)[i // 18 % 3]))
+        specs.append(FaultSpec(site, ("sa0", "sa1")[i % 2],
+                               starts[1 + i // 2 % 5], PERMANENT))
+    rng = random.Random(5)
+    pairs = [rng.sample(specs, 2) for _ in range(60)]
+    specs += [[a, b] for a, b in pairs if a.start_cycle != b.start_cycle]
+
+    def classify(spec, trace):
+        return run_scenario(scheme, design, stream, spec, golden, programs,
+                            collect_trace=trace)[0]
+    resumed = [classify(spec, False) for spec in specs]
+    assert resumed == [classify(spec, True) for spec in specs]
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_campaign_leaves_golden_run_intact(design, scheme, monkeypatch):
+    # Scenarios resume from the golden snapshots; none may alter them.
+    stream = bytes(range(0, 256, 9))
+    kept = []
+    monkeypatch.setattr(campaign, "golden_run",
+                        lambda *args: kept.append(golden_run(*args))
+                        or kept[-1])
+    run_campaign(design, CampaignConfig(
+        scheme=scheme, models=("flip", "sa1"), durations=(1, 4),
+        stream=stream, sample=200, seed=3))
+    fresh = golden_run(scheme, design, stream)
+    assert [dataclasses.asdict(g) for g in kept] == [dataclasses.asdict(fresh)]
 
 
 def test_cached_and_fresh_golden_agree(design, stream):
@@ -190,6 +238,47 @@ def test_scenario_grid_shape(design):
     assert all(s.duration is PERMANENT for s in specs_p)
 
 
+def _reference_grid(design, config):
+    """The scenario grid built in full, in site, model, duration, start
+    order."""
+    specs = []
+    for site in enumerate_sites(design, config.scheme):
+        if site.kind not in config.site_kinds:
+            continue
+        for model in config.resolved_models():
+            for duration in (config.durations
+                             if config.fault_class == "transient"
+                             else (PERMANENT,)):
+                if duration is PERMANENT and model == FLIP:
+                    continue
+                for start in config.resolved_starts(design):
+                    specs.append(FaultSpec(site, model, start, duration))
+    return specs
+
+
+@pytest.mark.parametrize("config", [
+    CampaignConfig(scheme="hfs"),
+    CampaignConfig(scheme="tmr", models=("flip", "sa0"), durations=(2, 7),
+                   start_cycles=(0, 40, 900)),
+    CampaignConfig(scheme="ttr", fault_class="permanent",
+                   models=("sa0", "flip", "sa1"), site_kinds=("register",)),
+], ids=["hfs", "tmr", "ttr-permanent-with-flip"])
+def test_enumeration_equals_sampling_the_full_grid(design, config):
+    # A sample is drawn as grid indices before any spec is built; it must
+    # pick the very specs, in the very order, that sampling the built grid
+    # picks.
+    grid = _reference_grid(design, config)
+    n = len(grid)
+    assert enumerate_scenarios(design, config) == grid
+    for seed in (0, 1, 0x5B0C):
+        for sample in (1, 2, n // 3, n - 1, n, n + 7):
+            picked = enumerate_scenarios(
+                design, dataclasses.replace(config, sample=sample, seed=seed))
+            want = (random.Random(seed).sample(grid, sample) if sample < n
+                    else grid)
+            assert picked == want, (seed, sample)
+
+
 def test_empty_campaign_rejected(design):
     cfg = CampaignConfig(scheme="hfs", fault_class="transient",
                          site_kinds=("nonexistent",))
@@ -199,6 +288,39 @@ def test_empty_campaign_rejected(design):
         with pytest.raises(EmptyCampaignError):
             enumerate_scenarios(design, CampaignConfig(
                 scheme="hfs", fault_class="transient", sample=sample))
+
+
+def test_sampled_grid_rejects_every_bad_cell(design):
+    # A sample builds only the specs it draws, yet a bad start or duration
+    # anywhere in the grid is rejected, whichever spec the seed draws.
+    from sboxsim.faults import InvalidFaultError
+    for bad in ({"durations": (1, 0)}, {"start_cycles": (0, -1)}):
+        for seed in range(8):
+            with pytest.raises(InvalidFaultError):
+                enumerate_scenarios(design, CampaignConfig(
+                    scheme="original", sample=1, seed=seed, **bad))
+
+
+_ints = st.integers(min_value=0, max_value=2**20)
+
+
+@given(st.builds(
+    CampaignConfig,
+    scheme=st.sampled_from(("original", "hfs", "tmr", "ttr")),
+    fault_class=st.sampled_from(campaign.FAULT_CLASSES),
+    durations=st.lists(_ints, max_size=4).map(tuple),
+    models=st.none() | st.lists(st.sampled_from(("sa0", "sa1", "flip")),
+                                max_size=3).map(tuple),
+    site_kinds=st.lists(st.sampled_from(("gate", "register", "comparator",
+                                         "voter_latch")),
+                        max_size=4).map(tuple),
+    start_cycles=st.none() | st.lists(_ints, max_size=4).map(tuple),
+    stream=st.none() | st.binary(max_size=64),
+    sample=st.none() | _ints,
+    seed=_ints))
+def test_config_json_round_trip(config):
+    doc = json.loads(json.dumps(config.to_json_dict()))
+    assert CampaignConfig.from_json_dict(doc) == config
 
 
 def test_campaign_counts_sum_and_coverage(design):

@@ -49,8 +49,25 @@ def test_usage_error_exit_code():
     ["simulate", "--design", "hfs", "--fault-site", "gate:999"],
     ["simulate", "--design", "hfs", "--fault-site", "gate:60",
      "--fault-duration", "x"],
+    ["campaign", "--design", "hfs", "--fault", "transient",
+     "--durations", "1,0", "--sample", "3"],
+    # A campaign config file's document is the last item; the test writes
+    # it to a file and passes that file's path.
+    pytest.param(["campaign", "--config",
+                  {"scheme": "original", "fault_class": "bogus", "sample": 3}],
+                 id="campaign --config fault_class bogus"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "original", "fault_class": "transient",
+                   "sample": "3"}],
+                 id="campaign --config sample string"),
+    pytest.param(["campaign", "--config", [{"scheme": "original"}]],
+                 id="campaign --config list"),
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
-def test_bad_input_exits_2_with_one_line(argv, capsys):
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    if not isinstance(argv[-1], str):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(config)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,10 @@
 """Fault sites, specs, enumeration, and overlay semantics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sboxsim.faults import (ActiveFault, ComparatorSite, FaultSpec, GateSite,
+from sboxsim.faults import (FLIP, MODELS, ActiveFault, ComparatorSite,
+                            FaultSpec, GateSite, InvalidFaultError,
                             InvalidSiteError, PERMANENT, RegisterSite,
                             VoterLatchSite, enumerate_sites)
 from sboxsim.gf import DEFAULT_PARAMS
@@ -25,6 +27,21 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FaultSpec(GateSite(8, 0), "stuck", 0, 1)
     FaultSpec(GateSite(8, 0), "sa0", 0, PERMANENT)  # fine
+
+
+@given(model=st.sampled_from(MODELS) | st.text(max_size=4),
+       start=st.integers(-3, 2**40),
+       duration=st.none() | st.integers(-3, 2**40))
+def test_spec_accepts_exactly_the_valid_triples(model, start, duration):
+    valid = (model in MODELS and start >= 0
+             and (duration >= 1 if duration is not PERMANENT
+                  else model != FLIP))
+    try:
+        FaultSpec(GateSite(8, 0), model, start, duration)
+    except InvalidFaultError:
+        assert not valid
+    else:
+        assert valid
 
 
 def test_enumeration_counts(design):

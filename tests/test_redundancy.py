@@ -236,3 +236,34 @@ def test_identical_scenarios_give_identical_traces(design):
     b = run_scenario("hfs", design, stream, spec, collect_trace=True)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+# ---------------------------------------------------------------------------
+# Snapshot restore
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_restore_inverts_canonical_state(design, scheme):
+    # For every cycle k of a golden run, a fresh machine restored to the
+    # snapshot after k cycles reports that snapshot, then steps through
+    # the rest of the run: the same states and the same later outputs.
+    stream = [0x00, 0x53, 0xFF, 0x1C, 0xA7, 0x80, 0x3D]
+    golden = golden_run(scheme, design, stream)
+    for k in range(golden.cycles + 1):
+        m = make_machine(scheme, design)
+        m.restore(golden.states[k], k)
+        assert m.canonical_state() == golden.states[k]
+        before = m.emitted
+        states, outputs, emitted_at = [], [], []
+        while m.cycle < golden.cycles:
+            rec = m.step(stream[m.consumed] if m.consumed < len(stream)
+                         else None)
+            states.append(m.canonical_state())
+            if rec.output is not None:
+                outputs.append(rec.output)
+                emitted_at.append(rec.cycle)
+        assert states == golden.states[k + 1:]
+        assert outputs == golden.outputs[before:]
+        assert emitted_at == golden.emitted_at[before:]
+    assert golden.states == golden_run(scheme, design, stream).states
