@@ -22,8 +22,7 @@ from .faults import (ComparatorSite, FaultSpec, GateSite, InvalidSiteError,
                      PERMANENT, RegisterSite, VoterLatchSite,
                      enumerate_sites)
 from .redundancy import (FcDmrMachine, PlainPipelineMachine, StepRecord,
-                         TmrMachine, TtrMachine, majority3, make_machine,
-                         ttr_run)
+                         TmrMachine, TtrMachine, majority3, make_machine)
 from .campaign import (CampaignConfig, CampaignResult, Classification,
                        EmptyCampaignError, default_stream, golden_run,
                        run_campaign, run_scenario)

@@ -55,7 +55,7 @@ from typing import Optional
 from .faults import (PERMANENT, REPLICAS, STUCK0, STUCK1, FLIP, ActiveFault,
                      FaultSet, FaultSpec, enumerate_sites)
 from .pipeline import PipelineDesign, build_stage_programs
-from .redundancy import majority3, make_machine
+from .redundancy import feed, majority3, make_machine
 
 MASKED = "masked"
 DETECTED_CORRECTED = "detected_corrected"
@@ -91,9 +91,7 @@ def golden_run(scheme: str, design: PipelineDesign, stream,
     emitted_at = []
     states = [m.canonical_state()]
     cap = 4 * len(stream) + 4 * design.n_stages + 64
-    while m.emitted < len(stream) and m.cycle < cap:
-        inp = stream[m.consumed] if m.consumed < len(stream) else None
-        rec = m.step(inp)
+    for rec in feed(m, stream, cap):
         if rec.output is not None:
             outputs.append(rec.output)
             emitted_at.append(rec.cycle)
@@ -106,7 +104,7 @@ def golden_run(scheme: str, design: PipelineDesign, stream,
 
 def run_scenario(scheme: str, design: PipelineDesign, stream,
                  spec, golden: GoldenRun = None, programs=None,
-                 collect_trace: bool = False, max_extra_cycles: int = 96):
+                 collect_trace: bool = False):
     """Simulate one fault scenario and classify it against the golden run.
 
     spec is one FaultSpec, or a list of them for a simultaneous multi-fault
@@ -130,7 +128,6 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
         return _classify_permanent(scheme, design, stream, fault, golden,
                                    programs), None
     m = make_machine(scheme, design, fault, programs)
-    want = len(stream)
     outputs = []
     emitted_at = []
     if not collect_trace:
@@ -145,14 +142,12 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     for s in specs:
         window = max(window, 0 if s.duration is PERMANENT
                      else s.start_cycle + s.duration)
-    cap = golden.cycles + window + max_extra_cycles
+    cap = golden.cycles + window + _MAX_EXTRA_CYCLES
 
     trace = [] if collect_trace else None
     detected = False
     spliced = False
-    while m.emitted < want and m.cycle < cap:
-        inp = stream[m.consumed] if m.consumed < want else None
-        rec = m.step(inp)
+    for rec in feed(m, stream, cap):
         if rec.global_err:
             detected = True
         if rec.output is not None:
@@ -170,12 +165,8 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
                 spliced = True
                 break
 
-    if spliced:
-        deviation = _first_mismatch(outputs, golden.outputs[:len(outputs)])
-        complete = True
-    else:
-        deviation = _first_mismatch(outputs, golden.outputs[:len(outputs)])
-        complete = len(outputs) == want
+    deviation = _first_mismatch(outputs, golden.outputs[:len(outputs)])
+    complete = spliced or len(outputs) == len(stream)
 
     if deviation is not None:
         first_bad = emitted_at[deviation]
@@ -189,6 +180,9 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     return Classification(MASKED), trace
 
 
+# A faulted run may take this many cycles beyond the golden run and the
+# fault window before it counts as never completing.
+_MAX_EXTRA_CYCLES = 96
 _LANE_SCHEMES = ("original", "tmr", "ttr")
 _MAX_LANE_INPUTS = 16      # 65,536 lanes; wider inputs take the cycle loop
 
@@ -199,15 +193,15 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     """Classify a permanent fault active from cycle 0 on a fixed-latency
     scheme with one bit-sliced pass of the faulty replica over every input
     value: each output is then a pure function of its input, so the set of
-    input values whose output is wrong decides the whole scenario."""
+    input values whose output is wrong decides the whole scenario.  ttr
+    votes three passes of its one replica, which agree, and a fault on one
+    row of its result buffer is outvoted by the two clean rows, so its
+    output is that replica's words, as for original."""
     if programs is None:
         programs = build_stage_programs(design)
     n_lanes = programs[0].n_lanes
     slot = fault.reg_mask.bit_length() - 1
     stuck = 0 if fault.model == STUCK0 else (1 << n_lanes) - 1
-
-    def stick(words):        # a stuck register bit, read by what follows
-        return words[:slot] + (stuck,) + words[slot + 1:]
 
     def last_words(replica=None):
         """One replica's last-boundary lane words; None is fault-free."""
@@ -217,18 +211,14 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
             words = p.lanes(words, ov or frozenset())
             if replica is not None and s == fault.reg_boundary and \
                     replica == fault.reg_replica:
-                words = stick(words)
+                # A stuck register bit, read by what follows.
+                words = words[:slot] + (stuck,) + words[slot + 1:]
         return words
 
     clean = last_words()
     faulty = fault.spec.site.replica
     rows = [last_words(r) if r == faulty else clean
             for r in range(REPLICAS[scheme])]
-    if scheme == "ttr":      # the result buffer holds three equal passes
-        rows *= 3
-        row = fault.reg_boundary - design.n_stages
-        if row >= 0:
-            rows[row] = stick(rows[0])
     out = rows[0] if len(rows) == 1 else [majority3(*w) for w in zip(*rows)]
     bad = 0                  # bit x set: the output for input x is wrong
     for k in design.output_slots:

@@ -25,7 +25,7 @@ from .gf import DEFAULT_PARAMS, FieldParams, sbox_composite, sbox_reference
 from .metrics import build_metrics, render_table
 from .netlist import CostTable, DEFAULT_COSTS
 from .pipeline import TooManyStagesError, cut_pipeline
-from .redundancy import make_machine
+from .redundancy import feed, make_machine
 from .synth import synth_sbox
 
 
@@ -44,7 +44,7 @@ def _load_params(path) -> FieldParams:
         return DEFAULT_PARAMS
     try:
         return FieldParams.load(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise ConfigError(f"cannot load params file {path}: {e}")
 
 
@@ -53,7 +53,7 @@ def _load_costs(path) -> CostTable:
         return DEFAULT_COSTS
     try:
         return CostTable.load(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise ConfigError(f"cannot load cost table {path}: {e}")
 
 
@@ -67,7 +67,11 @@ def _meta(params: FieldParams, costs: CostTable, seed: int) -> dict:
 
 
 def _build_design(params: FieldParams, costs: CostTable, stages: int):
-    return cut_pipeline(synth_sbox(params), stages, costs)
+    try:
+        netlist = synth_sbox(params)
+    except ValueError as e:
+        raise ConfigError(f"the field parameters do not synthesize: {e}")
+    return cut_pipeline(netlist, stages, costs)
 
 
 def _parse_site(text: str):
@@ -163,6 +167,8 @@ def cmd_simulate(args) -> int:
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read vector file "
                               f"{args.input_file}: {e}")
+    elif args.count < 0:
+        raise ConfigError(f"--count must be nonnegative, got {args.count}")
     else:
         stream = default_stream(args.seed)[:args.count]
 
@@ -179,11 +185,7 @@ def cmd_simulate(args) -> int:
 
     if fault is None:
         machine = make_machine(args.design, design)
-        records = []
-        while machine.emitted < len(stream):
-            inp = stream[machine.consumed] if machine.consumed < len(stream) \
-                else None
-            records.append(machine.step(inp))
+        records = list(feed(machine, stream))
         cls_text = "fault-free"
         stalls = machine.stall_cycles
     else:
@@ -279,8 +281,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stages", type=int, default=5,
                    help="pipeline stage count (default 5)")
     env_seed = os.environ.get("SBOXSIM_SEED")
-    p.add_argument("--seed", type=int,
-                   default=int(env_seed) if env_seed else DEFAULT_SEED,
+    try:
+        seed = int(env_seed) if env_seed else DEFAULT_SEED
+    except ValueError:
+        raise ConfigError(f"SBOXSIM_SEED must be an integer, "
+                          f"got {env_seed!r}") from None
+    p.add_argument("--seed", type=int, default=seed,
                    help="seed echoed into outputs and used for randomized "
                         "streams (flag overrides SBOXSIM_SEED)")
 
@@ -359,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

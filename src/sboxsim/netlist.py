@@ -219,6 +219,9 @@ class CostTable:
     register_bit_ge: float = 4.0
 
     def __post_init__(self):
+        missing = [kind for kind in GATES if kind not in self.entries]
+        if missing:
+            raise ValueError(f"no cost for gate kinds {', '.join(missing)}")
         if abs(self.entries["NAND2"][0] - 1.0) > 1e-12:
             raise ValueError("NAND2 defines the GE unit and must cost 1.0")
         for kind, (ge, dly) in self.entries.items():

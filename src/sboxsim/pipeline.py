@@ -307,7 +307,6 @@ class StageProgram:
             else:
                 self.capture.append((False, sig))
         self.prev_slot = prev_slot
-        self.stage_index = s
         self.n_lanes = 1 << n_in
         self._variants: dict = {}
         self._lane_variants: dict = {}
@@ -370,22 +369,10 @@ def streaming_eval(design: PipelineDesign, inputs) -> list[int]:
 
     One input enters per cycle; the output for the input of cycle t appears
     at cycle t + n_stages.  Returns the output bytes in order (same length
-    as the input stream).
+    as the input stream): the plain machine under the one stream driver.
     """
-    programs = build_stage_programs(design)
-    n = design.n_stages
-    regs = [0] * n
-    valid = [False] * n
-    out = []
-    stream = list(inputs)
-    for t in range(len(stream) + n):
-        if valid[n - 1]:
-            out.append(design.output_byte(regs[n - 1]))
-        feeding = t < len(stream)
-        word = stream[t] if feeding else 0
-        new_regs = [programs[0].fast(word)]
-        for s in range(1, n):
-            new_regs.append(programs[s].fast(regs[s - 1]))
-        regs = new_regs
-        valid = [feeding] + valid[:-1]
-    return out
+    # Imported here: the redundancy module is built on this one.
+    from .redundancy import PlainPipelineMachine, feed
+    return [rec.output for rec in feed(PlainPipelineMachine(design),
+                                       list(inputs))
+            if rec.output is not None]

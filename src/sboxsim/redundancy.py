@@ -16,8 +16,11 @@ Four machines share one pipelined S-box design:
     three cycles).
 
 All machines expose step(input_byte_or_None) -> StepRecord and the
-counters consumed / emitted / stall_cycles, and a canonical_state() tuple
-that the campaign runner uses for golden-state convergence checks.
+counters consumed / emitted / stall_cycles, and feed(machine, stream) is
+the one driver that clocks any of them over a byte stream: the golden
+run, every fault scenario, the CLI and the fault-free streaming_eval all
+run through it.  Each machine also has a canonical_state() tuple that
+the campaign runner uses for golden-state convergence checks.
 restore(state, cycle) is its exact inverse: it puts the machine into the
 state canonical_state() returned after `cycle` cycles, copied into fresh
 lists so that stepping never alters the snapshot.  The campaign runner
@@ -29,10 +32,10 @@ Faults are bound at construction as an ActiveFault (or None) and perturb
 reads only; see the faults module.
 
 Clocking convention, one step() per cycle: outputs and error flags are
-sampled from current register state, stage logic evaluates, then the
-clock edge commits new register values.  With n stages, the output for
-the input accepted at cycle t is emitted at cycle t + n (plus any stalls
-in between).
+sampled from current register state, stage logic evaluates (one shared
+_advance per replica), then the clock edge commits new register values.
+With n stages, the output for the input accepted at cycle t is emitted
+at cycle t + n (plus any stalls in between).
 """
 
 from __future__ import annotations
@@ -77,13 +80,19 @@ class _MachineBase:
         self.emitted = 0
         self.stall_cycles = 0
 
-    def _eval_stage(self, cyc: int, s: int, src: int, replica: int,
-                    fa: bool) -> int:
-        if fa:
-            ov = self.fault.gate_overrides(cyc, s, replica)
-            if ov:
-                return self.programs[s].interp(src, ov)
-        return self.programs[s].fast(src)
+    def _advance(self, cyc: int, word: int, src: list[int], replica: int,
+                 fa: bool) -> list[int]:
+        """One replica's next register words: stage 0 evaluates word and
+        stage s the word src[s - 1], under this cycle's gate faults."""
+        if not fa:
+            return [p.fast(w) for p, w in zip(self.programs, (word, *src))]
+        overrides = self.fault.gate_overrides
+        out = []
+        for s, p in enumerate(self.programs):
+            w = src[s - 1] if s else word
+            ov = overrides(cyc, s, replica)
+            out.append(p.interp(w, ov) if ov else p.fast(w))
+        return out
 
     def _read_regs(self, cyc: int, regs: list[int], replica: int,
                    fa: bool) -> list[int]:
@@ -109,11 +118,7 @@ class PlainPipelineMachine(_MachineBase):
             out = self.design.output_byte(reads[self.n - 1])
             self.emitted += 1
         accepted = inp is not None
-        word = inp if accepted else 0
-        new = [self._eval_stage(cyc, 0, word, 0, fa)]
-        for s in range(1, self.n):
-            new.append(self._eval_stage(cyc, s, reads[s - 1], 0, fa))
-        self.regs = new
+        self.regs = self._advance(cyc, inp if accepted else 0, reads, 0, fa)
         self.valid = [accepted] + self.valid[:self.n - 1]
         if accepted:
             self.consumed += 1
@@ -179,17 +184,10 @@ class FcDmrMachine(_MachineBase):
             out = (self.design.output_byte(vout[n - 1])
                    if self.valid[n - 1] else None)
 
-        new_a = [self._eval_stage(cyc, 0, s0, 0, fa)]
-        new_b = [self._eval_stage(cyc, 0, s0, 1, fa)]
-        for s in range(1, n):
-            src = vout[s - 1]
-            new_a.append(self._eval_stage(cyc, s, src, 0, fa))
-            new_b.append(self._eval_stage(cyc, s, src, 1, fa))
-
         # Clock edge.  Registers always recapture; everything else is
         # gated by the global error.
-        self.regs_a = new_a
-        self.regs_b = new_b
+        self.regs_a = self._advance(cyc, s0, vout, 0, fa)
+        self.regs_b = self._advance(cyc, s0, vout, 1, fa)
         if g_err:
             self.stall_cycles += 1
         else:
@@ -239,11 +237,8 @@ class TmrMachine(_MachineBase):
             self.emitted += 1
         accepted = inp is not None
         word = inp if accepted else 0
-        for r in range(self.REPLICAS):
-            new = [self._eval_stage(cyc, 0, word, r, fa)]
-            for s in range(1, n):
-                new.append(self._eval_stage(cyc, s, reads[r][s - 1], r, fa))
-            self.regs[r] = new
+        self.regs = [self._advance(cyc, word, reads[r], r, fa)
+                     for r in range(self.REPLICAS)]
         self.valid = [accepted] + self.valid[:n - 1]
         if accepted:
             self.consumed += 1
@@ -303,11 +298,8 @@ class TtrMachine(_MachineBase):
                 accepted = True
                 self.consumed += 1
         feeding = self.held is not None
-        word = self.held if feeding else 0
-        new = [self._eval_stage(cyc, 0, word, 0, fa)]
-        for s in range(1, n):
-            new.append(self._eval_stage(cyc, s, reads[s - 1], 0, fa))
-        self.regs = new
+        self.regs = self._advance(cyc, self.held if feeding else 0, reads, 0,
+                                  fa)
         self.valid = [feeding] + self.valid[:n - 1]
         self.phase = (self.phase + 1) % 3
         self.cycle += 1
@@ -322,22 +314,6 @@ class TtrMachine(_MachineBase):
          self.emitted) = state
         self.regs, self.valid = list(regs), list(valid)
         self.buffer, self.cycle = list(buffer), cycle
-
-
-def ttr_run(machine: TtrMachine, value: int) -> int:
-    """Feed one byte into a fresh-phase time-redundant machine and run
-    until its voted result emerges (the input is evaluated on three
-    successive cycles, then the buffered results are voted)."""
-    if machine.phase != 0:
-        raise ValueError("machine is mid-way through a triple evaluation")
-    target = machine.emitted + 1
-    rec = machine.step(value)
-    while machine.emitted < target:
-        rec = machine.step(None)
-    result = rec.output
-    while machine.phase != 0:     # realign so the next byte can be accepted
-        machine.step(None)
-    return result
 
 
 MACHINE_CLASSES = {
@@ -355,3 +331,17 @@ def make_machine(scheme: str, design: PipelineDesign, fault=None,
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}") from None
     return cls(design, fault, programs)
+
+
+def feed(machine, stream, cap: Optional[int] = None):
+    """Clock machine over stream, yielding each cycle's StepRecord.
+
+    Each cycle offers the next unconsumed byte, stream[machine.consumed],
+    or None once every byte is consumed, so a stalled or replaying machine
+    is offered the same byte again.  Stops once one output per byte has
+    been emitted or machine.cycle reaches cap.
+    """
+    want = len(stream)
+    while machine.emitted < want and (cap is None or machine.cycle < cap):
+        yield machine.step(stream[machine.consumed]
+                           if machine.consumed < want else None)

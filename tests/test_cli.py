@@ -25,6 +25,14 @@ def test_verify_corrupted_params(tmp_path, capsys):
     assert "MISMATCH" in out and "0x" in out
 
 
+def test_verify_reports_params_that_do_not_synthesize(tmp_path, capsys):
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps({**DEFAULT_PARAMS.to_json_dict(),
+                             "affine_a": [1]}))
+    assert main(["verify", "--params", str(p)]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_missing_params_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--params", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
@@ -62,12 +70,32 @@ def test_usage_error_exit_code():
                  id="campaign --config sample string"),
     pytest.param(["campaign", "--config", [{"scheme": "original"}]],
                  id="campaign --config list"),
+    pytest.param(["report", "--costs", {"gates": {"NAND2": [1, 1]}}],
+                 id="report --costs missing kinds"),
+    pytest.param(["report", "--costs", {"gates": []}],
+                 id="report --costs gates list"),
+    pytest.param(["report", "--costs", [1]], id="report --costs list"),
+    pytest.param(["verify", "--params", [1]], id="verify --params list"),
+    pytest.param(["synth", "--params",
+                  {**DEFAULT_PARAMS.to_json_dict(), "affine_a": [1]}],
+                 id="synth --params does not synthesize"),
+    pytest.param(["SBOXSIM_SEED=abc", "verify"],
+                 id="SBOXSIM_SEED=abc verify"),
+    ["simulate", "--design", "original", "--count", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
-def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    if not isinstance(argv[-1], str):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(argv[-1]))
-        argv = argv[:-1] + [str(config)]
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
+                                         capsys):
+    # A leading NAME=VALUE item sets an environment variable, and a JSON
+    # document in place of an argument is written to a file whose path is
+    # passed instead.
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

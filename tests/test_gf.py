@@ -2,6 +2,7 @@
 published S-box table as the independent oracle."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sboxsim.gf import (AFFINE_ROWS, DEFAULT_PARAMS, FieldParams,
                         InvalidParamsError, TowerElem, affine_transform,
@@ -245,6 +246,16 @@ def test_params_json_roundtrip(tmp_path):
     again = FieldParams.load(path)
     assert again == P
     assert again.sha256() == P.sha256()
+
+
+_rows = st.lists(st.integers(0, 255), min_size=8, max_size=8).map(tuple)
+
+
+@given(st.builds(FieldParams, lam=st.integers(0, 255),
+                 phi=st.integers(0, 255), delta=_rows, delta_inv=_rows,
+                 affine_a=_rows, affine_b=st.integers(0, 255)))
+def test_params_json_round_trip_property(params):
+    assert FieldParams.from_json(params.to_json()) == params
 
 
 def test_affine_rows_match_fips_rotation_structure():

@@ -1,9 +1,13 @@
 """Netlist representation: validation errors, evaluation, costing, JSON."""
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from sboxsim.netlist import (ArityMismatchError, CostTable, CyclicNetlistError,
-                             DEFAULT_COSTS, Gate, InputWidthMismatchError,
+                             DEFAULT_COSTS, GATES, Gate,
+                             InputWidthMismatchError,
                              Netlist, UndefinedSignalError, area_ge,
                              critical_path_delay, logic_depth, pack_bits,
                              unpack_bits)
@@ -144,8 +148,8 @@ def test_pack_unpack_roundtrip():
 
 
 def test_cost_table_nand_unit_enforced():
-    with pytest.raises(ValueError):
-        CostTable(entries={"NAND2": (2.0, 1.0)})
+    with pytest.raises(ValueError, match="NAND2 defines the GE unit"):
+        CostTable(entries={**DEFAULT_COSTS.entries, "NAND2": (2.0, 1.0)})
 
 
 def test_cost_table_json_roundtrip(tmp_path):
@@ -155,6 +159,19 @@ def test_cost_table_json_roundtrip(tmp_path):
     assert again.entries == DEFAULT_COSTS.entries
     assert again.register_bit_ge == 4.0
     assert again.sha256() == DEFAULT_COSTS.sha256()
+
+
+_cost = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+
+
+@given(st.fixed_dictionaries({kind: st.tuples(_cost, _cost)
+                              for kind in GATES}),
+       _cost, _cost)
+def test_cost_table_json_round_trip_property(entries, nand_delay, reg_ge):
+    costs = CostTable(entries={**entries, "NAND2": (1.0, nand_delay)},
+                      register_bit_ge=reg_ge)
+    doc = json.loads(json.dumps(costs.to_json_dict()))
+    assert CostTable.from_json_dict(doc) == costs
 
 
 def test_default_cost_ratios():

@@ -1,11 +1,12 @@
 """Pipeline cuts and streaming: function preservation, balance, latency."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sboxsim.faults import FaultSet, FaultSpec, GateSite
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.netlist import (DEFAULT_COSTS, Gate, Netlist,
-                             critical_path_delay)
+                             critical_path_delay, logic_depth)
 from sboxsim.pipeline import (PipelineDesign, TooManyStagesError,
                               build_stage_programs, cut_pipeline,
                               streaming_eval)
@@ -224,6 +225,14 @@ def test_design_json_roundtrip(design5):
         stage_of_gate=design5.stage_of_gate, cuts=design5.cuts,
         stage_delays=design5.stage_delays)
     assert streaming_eval(again, [0x53]) == [0xED]
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_design_json_round_trip_property(sbox_netlist, data):
+    n = data.draw(st.integers(1, logic_depth(sbox_netlist)), label="stages")
+    design = cut_pipeline(sbox_netlist, n)
+    assert PipelineDesign.from_json(design.to_json()) == design
 
 
 def test_cut_is_deterministic(sbox_netlist):

@@ -8,8 +8,8 @@ from sboxsim.faults import (FaultSpec, GateSite, PERMANENT, RegisterSite,
                             ComparatorSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import cut_pipeline
-from sboxsim.redundancy import (FcDmrMachine, TmrMachine, TtrMachine,
-                                majority3, make_machine, ttr_run)
+from sboxsim.redundancy import (FcDmrMachine, TmrMachine, TtrMachine, feed,
+                                majority3, make_machine)
 from sboxsim.synth import synth_sbox
 
 
@@ -171,12 +171,6 @@ def test_tmr_register_transient_masked(design):
 # ---------------------------------------------------------------------------
 
 
-def test_ttr_run_no_fault(design):
-    m = make_machine("ttr", design)
-    assert ttr_run(m, 0x00) == 0x63
-    assert ttr_run(m, 0x53) == 0xED
-
-
 def test_ttr_three_cycles_per_result(design):
     m = TtrMachine(design)
     stream = list(range(12))
@@ -217,11 +211,25 @@ def test_ttr_permanent_live_gate_causes_sdc(design):
     assert cls.kind == "sdc"
 
 
-def test_ttr_run_rejects_mid_phase(design):
-    m = TtrMachine(design)
-    m.step(1)
-    with pytest.raises(ValueError):
-        ttr_run(m, 2)
+# ---------------------------------------------------------------------------
+# Stream driver
+# ---------------------------------------------------------------------------
+
+
+def test_feed_offers_none_once_consumed_and_stops_when_drained(design):
+    m = make_machine("original", design)
+    recs = list(feed(m, [0x00, 0x53]))
+    assert [r.input for r in recs] == [0x00, 0x53] + [None] * design.n_stages
+    assert [r.output for r in recs if r.output is not None] == [0x63, 0xED]
+
+
+def test_feed_reoffers_each_byte_until_accepted_and_stops_at_cap(design):
+    m = make_machine("ttr", design)
+    recs = list(feed(m, [7, 8, 9], cap=7))
+    assert m.cycle == 7
+    assert [r.input for r in recs] == [7, 8, 8, 8, 9, 9, 9]
+    assert [r.accepted for r in recs] == [True, False, False, True,
+                                          False, False, True]
 
 
 # ---------------------------------------------------------------------------
