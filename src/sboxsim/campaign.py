@@ -273,6 +273,16 @@ class CampaignConfig:
         if self.sample is not None and type(self.sample) is not int:
             raise ValueError(f"sample must be an integer or null, "
                              f"got {self.sample!r}")
+        for name in ("durations", "start_cycles"):
+            values = getattr(self, name) or ()
+            if any(type(v) is not int for v in values):
+                raise ValueError(f"{name} must be integers, got "
+                                 f"{list(values)!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, "
+                             f"got {self.workers}")
 
     def resolved_models(self) -> tuple:
         if self.models is not None:

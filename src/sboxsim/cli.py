@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
@@ -95,6 +96,14 @@ def _parse_site(text: str):
         "reg:STAGE:BIT[:REPLICA], du:STAGE, or voter:STAGE:BIT")
 
 
+def _write_output(path, write) -> None:
+    """Call write(path); an unwritable path is a usage error."""
+    try:
+        write(path)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
 def _int_list(text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v != "")
@@ -139,8 +148,7 @@ def cmd_synth(args) -> int:
     doc["meta"] = _meta(params, costs, args.seed)
     text = json.dumps(doc, indent=1)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        _write_output(args.output, lambda p: Path(p).write_text(text + "\n"))
         print(f"synth: {args.stages}-stage design written to {args.output} "
               f"(max stage delay {design.max_stage_delay:.2f})")
     else:
@@ -195,11 +203,11 @@ def cmd_simulate(args) -> int:
         stalls = cls.stall_cycles
 
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(json.dumps({"meta": _meta(params, costs, args.seed),
-                                 "design": args.design}) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec.to_json_dict()) + "\n")
+        lines = [json.dumps({"meta": _meta(params, costs, args.seed),
+                             "design": args.design})]
+        lines += [json.dumps(rec.to_json_dict()) for rec in records]
+        _write_output(args.trace,
+                      lambda p: Path(p).write_text("\n".join(lines) + "\n"))
     outputs = [r.output for r in records if r.output is not None]
     print(f"simulate: design={args.design} inputs={len(stream)} "
           f"outputs={len(outputs)} stalls={stalls} result={cls_text}")
@@ -220,28 +228,30 @@ def cmd_campaign(args) -> int:
                 AttributeError) as e:
             raise ConfigError(f"cannot load campaign config "
                               f"{args.config}: {e}")
-        config = CampaignConfig(**{**config.__dict__,
-                                   "workers": args.workers})
+        fields = config.__dict__
     else:
         if not args.design or not args.fault:
             raise ConfigError("--design and --fault are required unless "
                               "--config is given")
-        config = CampaignConfig(
+        fields = dict(
             scheme=args.design,
             fault_class=args.fault,
             durations=_int_list(args.durations),
             site_kinds=tuple(args.sites.split(",")),
             start_cycles=_int_list(args.starts) if args.starts else None,
-            sample=None if args.exhaustive else args.sample,
+            sample=args.sample,
             seed=args.seed,
-            workers=args.workers,
         )
+    try:
+        config = CampaignConfig(**{**fields, "workers": args.workers})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     result = run_campaign(design, config,
                           meta=_meta(params, costs, config.seed))
     if args.out_json:
-        result.write_json(args.out_json)
+        _write_output(args.out_json, result.write_json)
     if args.out_csv:
-        result.write_csv(args.out_csv)
+        _write_output(args.out_csv, result.write_csv)
     ok = result.guarantee_holds()
     print(f"campaign: design={config.scheme} fault={config.fault_class} "
           f"scenarios={result.total} counts={result.counts} "
@@ -257,13 +267,11 @@ def cmd_report(args) -> int:
     rows = build_metrics(design, costs)
     text = render_table(rows, args.format)
     if args.output:
-        with open(args.output, "w") as fh:
-            if args.format == "json":
-                doc = {"meta": _meta(params, costs, args.seed),
-                       "rows": json.loads(text)}
-                fh.write(json.dumps(doc, indent=1) + "\n")
-            else:
-                fh.write(text)
+        if args.format == "json":
+            doc = {"meta": _meta(params, costs, args.seed),
+                   "rows": json.loads(text)}
+            text = json.dumps(doc, indent=1) + "\n"
+        _write_output(args.output, lambda p: Path(p).write_text(text))
         print(f"report written to {args.output}")
     else:
         print(text, end="")
@@ -275,43 +283,46 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params", help="field parameter JSON file")
-    p.add_argument("--costs", help="cost table JSON file")
-    p.add_argument("--stages", type=int, default=5,
-                   help="pipeline stage count (default 5)")
+def build_parser() -> argparse.ArgumentParser:
     env_seed = os.environ.get("SBOXSIM_SEED")
     try:
         seed = int(env_seed) if env_seed else DEFAULT_SEED
     except ValueError:
         raise ConfigError(f"SBOXSIM_SEED must be an integer, "
                           f"got {env_seed!r}") from None
-    p.add_argument("--seed", type=int, default=seed,
-                   help="seed echoed into outputs and used for randomized "
-                        "streams (flag overrides SBOXSIM_SEED)")
+    # verify reads only the field parameters; every other command builds
+    # the costed, pipelined design and may draw a seeded stream.
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", help="field parameter JSON file")
+    common = argparse.ArgumentParser(add_help=False, parents=[params])
+    common.add_argument("--costs", help="cost table JSON file")
+    common.add_argument("--stages", type=int, default=5,
+                        help="pipeline stage count (default 5)")
+    common.add_argument("--seed", type=int, default=seed,
+                        help="seed echoed into outputs and used for "
+                             "randomized streams (flag overrides "
+                             "SBOXSIM_SEED)")
 
-
-def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sboxsim",
         description="Gate-level fault-tolerance workbench for the AES S-box")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="exhaustive check of the composite "
-                                      "S-box against the published table")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[params],
+                       help="exhaustive check of the composite S-box "
+                            "against the published table")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("synth", help="synthesize and cut the pipelined "
-                                     "S-box, emit design JSON")
-    _add_common(p)
+    p = sub.add_parser("synth", parents=[common],
+                       help="synthesize and cut the pipelined S-box, emit "
+                            "design JSON")
     p.add_argument("--output", help="design JSON path (default stdout)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("simulate", help="cycle-accurate run with an "
-                                        "optional injected fault")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[common],
+                       help="cycle-accurate run with an optional injected "
+                            "fault")
     p.add_argument("--design", required=True,
                    choices=("original", "hfs", "tmr", "ttr"))
     p.add_argument("--input-hex", help="explicit input bytes as hex")
@@ -330,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="JSON-lines trace output path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("campaign", help="fault-injection campaign with "
-                                        "guarantee checking")
-    _add_common(p)
+    p = sub.add_parser("campaign", parents=[common],
+                       help="fault-injection campaign with guarantee "
+                            "checking")
     p.add_argument("--design", choices=("original", "hfs", "tmr", "ttr"))
     p.add_argument("--fault", choices=FAULT_CLASSES)
     p.add_argument("--config", help="campaign config JSON (replaces the "
@@ -343,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="site kinds: gate,register,comparator,voter_latch")
     p.add_argument("--starts", help="start cycles (default: one full "
                                     "pipeline occupancy window)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="run the full scenario grid (the default)")
     p.add_argument("--sample", type=int,
-                   help="random sample size instead of the full grid")
+                   help="random sample size (default: the full grid)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="parallel worker processes (default: machine "
                         "parallelism; never affects results)")
@@ -354,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", help="per-scenario CSV path")
     p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser("report", help="area/frequency/throughput table "
-                                      "for all four designs")
-    _add_common(p)
+    p = sub.add_parser("report", parents=[common],
+                       help="area/frequency/throughput table for all four "
+                            "designs")
     p.add_argument("--format", choices=("text", "csv", "json"),
                    default="text")
     p.add_argument("--output", help="output path (default stdout)")

@@ -99,15 +99,16 @@ class FaultSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidFaultError(f"unknown fault model {self.model!r}")
-        if self.start_cycle < 0:
-            raise InvalidFaultError("start_cycle must be nonnegative")
+        if type(self.start_cycle) is not int or self.start_cycle < 0:
+            raise InvalidFaultError(f"start_cycle must be a nonnegative "
+                                    f"integer, got {self.start_cycle!r}")
         if self.duration is PERMANENT:
             if self.model == FLIP:
                 raise InvalidFaultError(
                     "a bit-flip is an event and cannot be permanent")
-        elif self.duration < 1:
-            raise InvalidFaultError(
-                "duration must be positive (or PERMANENT)")
+        elif type(self.duration) is not int or self.duration < 1:
+            raise InvalidFaultError(f"duration must be a positive integer "
+                                    f"(or PERMANENT), got {self.duration!r}")
 
     def __str__(self):
         dur = "perm" if self.duration is PERMANENT else str(self.duration)

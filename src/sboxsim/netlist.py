@@ -227,6 +227,10 @@ class CostTable:
         for kind, (ge, dly) in self.entries.items():
             if ge < 0 or dly < 0:
                 raise ValueError(f"{kind}: costs must be nonnegative")
+        reg = self.register_bit_ge
+        if type(reg) not in (int, float) or not reg >= 0:
+            raise ValueError(f"register_bit_ge must be a nonnegative "
+                             f"number, got {reg!r}")
 
     def ge(self, kind: str) -> float:
         return self.entries[kind][0]

@@ -301,6 +301,19 @@ def test_sampled_grid_rejects_every_bad_cell(design):
                     scheme="original", sample=1, seed=seed, **bad))
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("durations", (1, 1.5)), ("durations", (True,)),
+    ("start_cycles", (0, 2.0)), ("seed", "x"), ("seed", True),
+    ("workers", 0), ("workers", -1),
+])
+def test_config_rejects_non_integer_windows_seed_and_workers(field, bad):
+    # Checked at construction: a permanent campaign never builds a spec
+    # from its durations, and a sample builds only the specs it draws.
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig(scheme="original", fault_class="permanent",
+                       **{field: bad})
+
+
 _ints = st.integers(min_value=0, max_value=2**20)
 
 

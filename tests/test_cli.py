@@ -1,11 +1,16 @@
 """CLI: exit codes, file artifacts, reproducibility, error paths."""
 
 import json
+import os
 
 import pytest
 
 from sboxsim.cli import main
 from sboxsim.gf import DEFAULT_PARAMS, FieldParams
+from sboxsim.netlist import CostTable, DEFAULT_COSTS
+
+# A path no file can be created at: its parent is not a directory.
+UNWRITABLE = os.path.join(os.devnull, "out")
 
 
 def test_verify_default_params(capsys):
@@ -42,6 +47,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["campaign", "--design", "warp", "--fault", "transient"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("command,option", [
+    ("verify", ["--costs", "costs.json"]),
+    ("verify", ["--stages", "5"]),
+    ("verify", ["--seed", "7"]),
+    ("campaign", ["--exhaustive"]),
+])
+def test_options_a_command_does_not_read_are_rejected(command, option,
+                                                       capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command] + option)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    assert option[0] not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -82,6 +105,39 @@ def test_usage_error_exit_code():
     pytest.param(["SBOXSIM_SEED=abc", "verify"],
                  id="SBOXSIM_SEED=abc verify"),
     ["simulate", "--design", "original", "--count", "-1"],
+    pytest.param(["report", "--costs", {**DEFAULT_COSTS.to_json_dict(),
+                                        "register_bit_ge": "x"}],
+                 id="report --costs register_bit_ge string"),
+    pytest.param(["report", "--costs", {**DEFAULT_COSTS.to_json_dict(),
+                                        "register_bit_ge": -4}],
+                 id="report --costs register_bit_ge negative"),
+    pytest.param(["report", "--costs", {**DEFAULT_COSTS.to_json_dict(),
+                                        "register_bit_ge": True}],
+                 id="report --costs register_bit_ge bool"),
+    ["synth", "--output", UNWRITABLE],
+    ["simulate", "--design", "original", "--count", "2",
+     "--trace", UNWRITABLE],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
+     "--out-json", UNWRITABLE],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
+     "--out-csv", UNWRITABLE],
+    ["report", "--output", UNWRITABLE],
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "durations": [1.5], "sample": 3}],
+                 id="campaign --config durations float"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "durations": [True], "sample": 3}],
+                 id="campaign --config durations bool"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "start_cycles": [2.0], "sample": 3}],
+                 id="campaign --config start_cycles float"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "seed": "x", "sample": 3}],
+                 id="campaign --config seed string"),
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
+     "--workers", "0"],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
+     "--workers", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
                                          capsys):
@@ -101,6 +157,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if UNWRITABLE in argv:
+        assert UNWRITABLE in lines[0]
 
 
 def test_synth_writes_design_json(tmp_path, capsys):
@@ -207,7 +265,6 @@ def test_report_text_to_stdout(capsys):
 
 
 def test_custom_cost_table_flows_through(tmp_path, capsys):
-    from sboxsim.netlist import CostTable, DEFAULT_COSTS
     costs = CostTable(entries=dict(DEFAULT_COSTS.entries),
                       register_bit_ge=5.0)
     p = tmp_path / "costs.json"

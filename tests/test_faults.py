@@ -1,7 +1,7 @@
 """Fault sites, specs, enumeration, and overlay semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sboxsim.faults import (FLIP, MODELS, ActiveFault, ComparatorSite,
                             FaultSpec, GateSite, InvalidFaultError,
@@ -29,13 +29,20 @@ def test_spec_validation():
     FaultSpec(GateSite(8, 0), "sa0", 0, PERMANENT)  # fine
 
 
+# A window bound is valid only as a plain int: floats and bools are drawn
+# too, and must be rejected even when they compare like a valid int.
+_WINDOW = st.integers(-3, 2**40) | st.floats() | st.booleans()
+
+
 @given(model=st.sampled_from(MODELS) | st.text(max_size=4),
-       start=st.integers(-3, 2**40),
-       duration=st.none() | st.integers(-3, 2**40))
+       start=_WINDOW, duration=st.none() | _WINDOW)
+@example(model=FLIP, start=1.5, duration=2)
+@example(model=FLIP, start=True, duration=2.5)
+@example(model=FLIP, start=0, duration=2.0)
 def test_spec_accepts_exactly_the_valid_triples(model, start, duration):
-    valid = (model in MODELS and start >= 0
-             and (duration >= 1 if duration is not PERMANENT
-                  else model != FLIP))
+    valid = (model in MODELS and type(start) is int and start >= 0
+             and (type(duration) is int and duration >= 1
+                  if duration is not PERMANENT else model != FLIP))
     try:
         FaultSpec(GateSite(8, 0), model, start, duration)
     except InvalidFaultError:
