@@ -21,10 +21,13 @@ and it is what makes exhaustive transient campaigns cheap.
 
 Before its first fault cycle a scenario is the golden run, so it does not
 re-simulate that clean prefix: it restores the machine to the golden
-snapshot at that cycle and takes the golden outputs emitted so far (the
-resume of checkpoint-based fault injection).  A scenario that collects a
-trace still starts at cycle 0, so the trace covers the whole run and the
-traced run stays the reference the tests compare the resume with.
+snapshot at that cycle (the resume of checkpoint-based fault injection).
+The outputs emitted by then, base of them, are the golden run's, so it
+keeps only the outputs emitted after the resume and compares them with
+the golden outputs from position base on: no work grows with the prefix.
+A scenario that collects a trace still starts at cycle 0, with base 0, so
+the trace covers the whole run and the traced run stays the reference the
+tests compare the resume with.
 
 A permanent fault never closes its window, so it never splices.  When it
 is the only fault, starts at cycle 0 and hits a fixed-latency scheme
@@ -116,7 +119,8 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     ttr, untraced, is classified without a machine by one bit-sliced pass
     (see the module docstring).
     """
-    stream = list(stream)
+    if not isinstance(stream, (bytes, list)):
+        stream = list(stream)
     if golden is None:
         golden = golden_run(scheme, design, stream, programs)
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
@@ -128,15 +132,13 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
         return _classify_permanent(scheme, design, stream, fault, golden,
                                    programs), None
     m = make_machine(scheme, design, fault, programs)
-    outputs = []
-    emitted_at = []
     if not collect_trace:
         # No fault is active before the first start, so until then the
         # faulted run is the golden run: resume from its snapshot.
         k = min(min(s.start_cycle for s in specs), golden.cycles)
         m.restore(golden.states[k], k)
-        outputs = golden.outputs[:m.emitted]
-        emitted_at = golden.emitted_at[:m.emitted]
+    base = m.emitted        # the outputs before the resume are golden's
+    outputs, emitted_at = [], []
 
     window = 0
     for s in specs:
@@ -165,8 +167,9 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
                 spliced = True
                 break
 
-    deviation = _first_mismatch(outputs, golden.outputs[:len(outputs)])
-    complete = spliced or len(outputs) == len(stream)
+    deviation = _first_mismatch(outputs,
+                                golden.outputs[base:base + len(outputs)])
+    complete = spliced or base + len(outputs) == len(stream)
 
     if deviation is not None:
         first_bad = emitted_at[deviation]

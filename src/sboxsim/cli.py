@@ -104,6 +104,17 @@ def _write_output(path, write) -> None:
         raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
+def _check_writable(path) -> None:
+    """Raise the ConfigError that writing path later would, leaving the
+    path as it was."""
+    def probe(p):
+        existed = os.path.exists(p)
+        open(p, "a").close()
+        if not existed:
+            os.remove(p)
+    _write_output(path, probe)
+
+
 def _int_list(text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v != "")
@@ -246,6 +257,9 @@ def cmd_campaign(args) -> int:
         config = CampaignConfig(**{**fields, "workers": args.workers})
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    for path in (args.out_json, args.out_csv):
+        if path:        # before the run, which a bad path would waste
+            _check_writable(path)
     result = run_campaign(design, config,
                           meta=_meta(params, costs, config.seed))
     if args.out_json:

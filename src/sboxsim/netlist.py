@@ -210,6 +210,13 @@ _DEFAULT_COSTS = {
 }
 
 
+def _check_cost(name: str, value) -> None:
+    # Bools are ints to Python and NaN compares false, so test both.
+    if type(value) not in (int, float) or not value >= 0:
+        raise ValueError(f"{name} must be a nonnegative number, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostTable:
     """Per-kind (GE, delay) pairs plus the flip-flop cost used by the
@@ -222,15 +229,12 @@ class CostTable:
         missing = [kind for kind in GATES if kind not in self.entries]
         if missing:
             raise ValueError(f"no cost for gate kinds {', '.join(missing)}")
+        for kind, (ge, dly) in self.entries.items():
+            _check_cost(f"{kind} GE", ge)
+            _check_cost(f"{kind} delay", dly)
         if abs(self.entries["NAND2"][0] - 1.0) > 1e-12:
             raise ValueError("NAND2 defines the GE unit and must cost 1.0")
-        for kind, (ge, dly) in self.entries.items():
-            if ge < 0 or dly < 0:
-                raise ValueError(f"{kind}: costs must be nonnegative")
-        reg = self.register_bit_ge
-        if type(reg) not in (int, float) or not reg >= 0:
-            raise ValueError(f"register_bit_ge must be a nonnegative "
-                             f"number, got {reg!r}")
+        _check_cost("register_bit_ge", self.register_bit_ge)
 
     def ge(self, kind: str) -> float:
         return self.entries[kind][0]

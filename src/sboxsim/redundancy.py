@@ -34,6 +34,8 @@ reads only; see the faults module.
 Clocking convention, one step() per cycle: outputs and error flags are
 sampled from current register state, stage logic evaluates (one shared
 _advance per replica), then the clock edge commits new register values.
+Replicas with no active fault and equal inputs compute equal words, so a
+clean cycle evaluates each distinct replica input once and copies it.
 With n stages, the output for the input accepted at cycle t is emitted
 at cycle t + n (plus any stalls in between).
 """
@@ -185,9 +187,11 @@ class FcDmrMachine(_MachineBase):
                    if self.valid[n - 1] else None)
 
         # Clock edge.  Registers always recapture; everything else is
-        # gated by the global error.
+        # gated by the global error.  Both replicas evaluate s0 and vout,
+        # so without an active fault their next words are equal.
         self.regs_a = self._advance(cyc, s0, vout, 0, fa)
-        self.regs_b = self._advance(cyc, s0, vout, 1, fa)
+        self.regs_b = (self._advance(cyc, s0, vout, 1, fa) if fa
+                       else list(self.regs_a))
         if g_err:
             self.stall_cycles += 1
         else:
@@ -237,8 +241,12 @@ class TmrMachine(_MachineBase):
             self.emitted += 1
         accepted = inp is not None
         word = inp if accepted else 0
-        self.regs = [self._advance(cyc, word, reads[r], r, fa)
-                     for r in range(self.REPLICAS)]
+        if not fa and reads[0] == reads[1] == reads[2]:
+            regs = self._advance(cyc, word, reads[0], 0, fa)
+            self.regs = [regs, list(regs), list(regs)]
+        else:
+            self.regs = [self._advance(cyc, word, reads[r], r, fa)
+                         for r in range(self.REPLICAS)]
         self.valid = [accepted] + self.valid[:n - 1]
         if accepted:
             self.consumed += 1

@@ -131,6 +131,40 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_resume_equals_run_from_cycle_zero_late_in_a_long_stream(design,
+                                                                 scheme):
+    # A resumed scenario keeps only the outputs emitted after its resume
+    # point and compares them from golden position base on.  Here the
+    # prefix holds hundreds of outputs: single and two-fault scenarios
+    # start in the last quarter of a 600-byte stream's golden run, and the
+    # whole Classification must equal the traced run's, first_bad_cycle
+    # included.
+    stream = random.Random(11).randbytes(600)
+    programs = build_stage_programs(design)
+    golden = golden_run(scheme, design, stream, programs)
+    rng = random.Random(13)
+    sites = enumerate_sites(design, scheme)
+
+    def late_spec():
+        start = rng.randrange(3 * golden.cycles // 4, golden.cycles)
+        duration = rng.choice((1, 3, 10, PERMANENT))
+        models = ("sa0", "sa1") if duration is PERMANENT else \
+            ("flip", "sa0", "sa1")
+        return FaultSpec(rng.choice(sites), rng.choice(models), start,
+                         duration)
+    specs = [late_spec() for _ in range(28)]
+    specs += [[late_spec(), late_spec()] for _ in range(12)]
+
+    def classify(spec, trace):
+        return run_scenario(scheme, design, stream, spec, golden, programs,
+                            collect_trace=trace)[0]
+    resumed = [classify(spec, False) for spec in specs]
+    assert resumed == [classify(spec, True) for spec in specs]
+    if scheme == "original":
+        assert any(c.first_bad_cycle is not None for c in resumed)
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
 def test_campaign_leaves_golden_run_intact(design, scheme, monkeypatch):
     # Scenarios resume from the golden snapshots; none may alter them.
     stream = bytes(range(0, 256, 9))

@@ -5,12 +5,21 @@ import os
 
 import pytest
 
+from sboxsim import cli
 from sboxsim.cli import main
 from sboxsim.gf import DEFAULT_PARAMS, FieldParams
 from sboxsim.netlist import CostTable, DEFAULT_COSTS
 
 # A path no file can be created at: its parent is not a directory.
 UNWRITABLE = os.path.join(os.devnull, "out")
+NAN = float("nan")
+
+
+def _costs_with(kind, entry):
+    """The default cost table's JSON document with one gate entry
+    replaced."""
+    doc = DEFAULT_COSTS.to_json_dict()
+    return {**doc, "gates": {**doc["gates"], kind: entry}}
 
 
 def test_verify_default_params(capsys):
@@ -114,6 +123,12 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     pytest.param(["report", "--costs", {**DEFAULT_COSTS.to_json_dict(),
                                         "register_bit_ge": True}],
                  id="report --costs register_bit_ge bool"),
+    pytest.param(["report", "--costs", _costs_with("XOR2", [NAN, 1.0])],
+                 id="report --costs XOR2 GE NaN"),
+    pytest.param(["report", "--costs", _costs_with("XOR2", [True, 1.0])],
+                 id="report --costs XOR2 GE bool"),
+    pytest.param(["report", "--costs", _costs_with("XOR2", [2.33, NAN])],
+                 id="report --costs XOR2 delay NaN"),
     ["synth", "--output", UNWRITABLE],
     ["simulate", "--design", "original", "--count", "2",
      "--trace", UNWRITABLE],
@@ -159,6 +174,44 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     if UNWRITABLE in argv:
         assert UNWRITABLE in lines[0]
+
+
+@pytest.mark.parametrize("option", ["--out-json", "--out-csv"])
+def test_campaign_checks_output_paths_before_running(option, monkeypatch,
+                                                     capsys):
+    # An unwritable result path must fail before the campaign runs, not
+    # after a full grid has been simulated for nothing.
+    def run_campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran before its paths were checked")
+    monkeypatch.setattr(cli, "run_campaign", run_campaign)
+    assert main(["campaign", "--design", "tmr", "--fault", "transient",
+                 option, UNWRITABLE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert UNWRITABLE in lines[0]
+
+
+def test_campaign_output_check_leaves_paths_as_they_were(tmp_path, capsys):
+    # Checking a path first neither changes the bytes a campaign writes
+    # over an existing file nor leaves a new file behind when the run
+    # then fails.
+    argv = ["campaign", "--design", "hfs", "--fault", "transient",
+            "--sample", "20", "--seed", "3"]
+    files = {}
+    for tag in ("fresh", "existing"):
+        j, c = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        if tag == "existing":
+            j.write_text("x" * 100_000)
+            c.write_text("x" * 100_000)
+        assert main(argv + ["--out-json", str(j), "--out-csv", str(c)]) == 0
+        files[tag] = (j.read_bytes(), c.read_bytes())
+    assert files["existing"] == files["fresh"]
+    left = tmp_path / "left.json"
+    assert main(["campaign", "--design", "hfs", "--fault", "transient",
+                 "--sample", "0", "--out-json", str(left)]) == 2
+    assert not left.exists()
 
 
 def test_synth_writes_design_json(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Machine-level behavior: stall-and-recover traces, majority voting, time
 redundancy."""
 
+import random
+
 import pytest
 
 from sboxsim.campaign import golden_run, run_scenario
@@ -244,6 +246,18 @@ def test_identical_scenarios_give_identical_traces(design):
     b = run_scenario("hfs", design, stream, spec, collect_trace=True)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("scheme", ["hfs", "tmr"])
+def test_fault_free_replicas_stay_equal_in_separate_lists(design, scheme):
+    # A clean cycle evaluates equal replica inputs once and copies the
+    # result: after every step the replicas hold equal words, each in its
+    # own list, so no in-place write can couple them.
+    m = make_machine(scheme, design)
+    for _ in feed(m, random.Random(3).randbytes(300)):
+        regs = [m.regs_a, m.regs_b] if scheme == "hfs" else m.regs
+        assert all(r == regs[0] for r in regs)
+        assert len({id(r) for r in regs}) == len(regs)
 
 
 # ---------------------------------------------------------------------------
