@@ -71,7 +71,7 @@ class EmptyCampaignError(ValueError):
     """The campaign configuration selects no scenarios."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     kind: str
     stall_cycles: int = 0
@@ -281,6 +281,8 @@ class CampaignConfig:
             if any(type(v) is not int for v in values):
                 raise ValueError(f"{name} must be integers, got "
                                  f"{list(values)!r}")
+        if self.stream is not None and not self.stream:
+            raise ValueError("stream must not be empty")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.workers < 1:
@@ -459,12 +461,17 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     counts: dict = {k: 0 for k in CLASS_KINDS}
     per_site: dict = {}
     rows = []
+    site = None
     for spec, cls in zip(specs, classifications):
         counts[cls.kind] += 1
-        site_key = str(spec.site)
-        bucket = per_site.setdefault(site_key, {k: 0 for k in CLASS_KINDS})
+        if spec.site is not site:
+            # A grid is site-major: its rows share one string per site.
+            site = spec.site
+            site_key = str(site)
+            bucket = per_site.setdefault(site_key,
+                                         {k: 0 for k in CLASS_KINDS})
         bucket[cls.kind] += 1
-        rows.append((str(spec.site), spec.model,
+        rows.append((site_key, spec.model,
                      "perm" if spec.duration is PERMANENT else spec.duration,
                      spec.start_cycle, cls.kind, cls.stall_cycles))
     total = len(specs)

@@ -46,7 +46,7 @@ class InvalidFaultError(ValueError):
     """A fault specification with an unknown model or a bad cycle window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateSite:
     gate_id: int
     replica: int = 0
@@ -56,7 +56,7 @@ class GateSite:
         return f"gate:{self.gate_id}:r{self.replica}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterSite:
     stage: int
     bit: int
@@ -67,7 +67,7 @@ class RegisterSite:
         return f"reg:{self.stage}:{self.bit}:r{self.replica}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparatorSite:
     stage: int
     kind = "comparator"
@@ -76,7 +76,7 @@ class ComparatorSite:
         return f"du:{self.stage}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoterLatchSite:
     stage: int
     bit: int
@@ -89,7 +89,7 @@ class VoterLatchSite:
 FaultSite = Union[GateSite, RegisterSite, ComparatorSite, VoterLatchSite]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultSpec:
     site: FaultSite
     model: str
@@ -162,7 +162,11 @@ class ActiveFault:
 
     Machines call active(cycle) once per cycle; the remaining hooks are only
     consulted while the window is open.  Hooks are read transforms: they
-    never modify stored state.
+    never modify stored state.  kinds holds the site's kind; each hook is
+    the identity for sites of any other kind, so machines call only the
+    hooks of the kinds a fault has (gate: gate_overrides; register:
+    transform_regs and reg_read; comparator: du_apply; voter_latch:
+    latch_read).
     """
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
@@ -235,6 +239,7 @@ class ActiveFault:
             self.latch_mask = 1 << site.bit
         else:
             raise InvalidSiteError(f"unrecognized site {site!r}")
+        self.kinds = frozenset((site.kind,))
 
     def active(self, cycle: int) -> bool:
         return cycle >= self.start and (self.end is None or cycle < self.end)
@@ -287,12 +292,14 @@ class FaultSet:
     Multi-fault scenarios carry no correction guarantee; they exist so the
     classifier can report what actually happens.  Member windows are
     checked per cycle, so faults with different start/duration compose.
+    kinds is the union of the members' site kinds.
     """
 
     def __init__(self, faults: list):
         if not faults:
             raise ValueError("empty fault set")
         self.faults = list(faults)
+        self.kinds = frozenset().union(*(f.kinds for f in self.faults))
 
     @classmethod
     def bind(cls, specs, design: PipelineDesign, scheme: str) -> "FaultSet":

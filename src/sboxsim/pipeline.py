@@ -67,8 +67,16 @@ class PipelineDesign:
         n_in = len(self.netlist.inputs)
         return 0 if sig < n_in else self.stage_of_gate[sig - n_in]
 
+    @cached_property
+    def _outputs_in_order(self) -> bool:
+        """True when the last cut is the outputs in declared order, so a
+        packed output-register word already is the output value."""
+        return self.output_slots == tuple(range(len(self.output_slots)))
+
     def output_byte(self, packed_last: int) -> int:
-        out = 0
+        if self._outputs_in_order:
+            return packed_last
+        out = 0         # outputs repeat a signal: gather bit by bit
         for i, slot in enumerate(self.output_slots):
             out |= ((packed_last >> slot) & 1) << i
         return out

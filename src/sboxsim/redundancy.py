@@ -29,13 +29,21 @@ The stall count is not part of the state; a restored machine keeps its
 own.
 
 Faults are bound at construction as an ActiveFault (or None) and perturb
-reads only; see the faults module.
+reads only; see the faults module.  A machine calls only the hooks of
+the site kinds its fault has (ActiveFault.kinds): each hook is the
+identity for any other kind.
 
 Clocking convention, one step() per cycle: outputs and error flags are
-sampled from current register state, stage logic evaluates (one shared
-_advance per replica), then the clock edge commits new register values.
-Replicas with no active fault and equal inputs compute equal words, so a
-clean cycle evaluates each distinct replica input once and copies it.
+sampled from current register state, stage logic evaluates (_evaluate
+for the one replica of original and ttr, _advance for the replicas of
+hfs and tmr), then the clock edge commits new register values.  Within a
+cycle _advance evaluates each distinct (stage, input word, gate
+overrides) once across replicas: a stage with overrides runs for its own
+replica only, and never also clean for it, and every other stage is
+shared by the replicas that read the same word into it.  Both hfs
+replicas read (s0, vout), so a gate-faulted hfs cycle makes n fault-free
+stage evaluations and one faulted one; a tmr replica whose boundary word
+diverged still shares its other stages.
 With n stages, the output for the input accepted at cycle t is emitted
 at cycle t + n (plus any stalls in between).
 """
@@ -82,11 +90,12 @@ class _MachineBase:
         self.emitted = 0
         self.stall_cycles = 0
 
-    def _advance(self, cyc: int, word: int, src: list[int], replica: int,
-                 fa: bool) -> list[int]:
+    def _evaluate(self, cyc: int, word: int, src: list[int], replica: int,
+                  kinds) -> list[int]:
         """One replica's next register words: stage 0 evaluates word and
-        stage s the word src[s - 1], under this cycle's gate faults."""
-        if not fa:
+        stage s the word src[s - 1], under this cycle's gate faults.  kinds
+        holds the site kinds of the active fault, empty without one."""
+        if "gate" not in kinds:
             return [p.fast(w) for p, w in zip(self.programs, (word, *src))]
         overrides = self.fault.gate_overrides
         out = []
@@ -96,9 +105,39 @@ class _MachineBase:
             out.append(p.interp(w, ov) if ov else p.fast(w))
         return out
 
+    def _advance(self, cyc: int, word: int, srcs, kinds) -> list:
+        """Every replica's next register words, replica r reading
+        srcs[r], with each distinct (stage, input word, overrides)
+        evaluated once across replicas: a stage with overrides runs for
+        its own replica only and never also clean for it, and replicas
+        that read equal words share every other stage.  Every replica
+        gets its own list."""
+        overrides = self.fault.gate_overrides if "gate" in kinds else None
+        first = srcs[0]
+        if overrides is None and srcs.count(first) == len(srcs):
+            # Every stage is shared, as in each golden-run cycle: one
+            # pass, copied, with no per-stage bookkeeping.
+            regs = self._evaluate(cyc, word, first, 0, kinds)
+            out = [regs]
+            while len(out) < len(srcs):
+                out.append(regs[:])
+            return out
+        out = [[] for _ in srcs]
+        for s, p in enumerate(self.programs):
+            done = {}               # (input word, overrides) -> result
+            for r, regs in enumerate(out):
+                key = (srcs[r][s - 1] if s else word,
+                       overrides and overrides(cyc, s, r))
+                v = done.get(key)
+                if v is None:
+                    w, ov = key
+                    v = done[key] = p.interp(w, ov) if ov else p.fast(w)
+                regs.append(v)
+        return out
+
     def _read_regs(self, cyc: int, regs: list[int], replica: int,
-                   fa: bool) -> list[int]:
-        if not fa:
+                   kinds) -> list[int]:
+        if "register" not in kinds:
             return regs
         return self.fault.transform_regs(cyc, replica, regs)
 
@@ -113,14 +152,16 @@ class PlainPipelineMachine(_MachineBase):
 
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
-        fa = self.fault is not None and self.fault.active(cyc)
-        reads = self._read_regs(cyc, self.regs, 0, fa)
+        fault = self.fault
+        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
+        reads = self._read_regs(cyc, self.regs, 0, kinds)
         out = None
         if self.valid[self.n - 1]:
             out = self.design.output_byte(reads[self.n - 1])
             self.emitted += 1
         accepted = inp is not None
-        self.regs = self._advance(cyc, inp if accepted else 0, reads, 0, fa)
+        self.regs = self._evaluate(cyc, inp if accepted else 0, reads, 0,
+                                   kinds)
         self.valid = [accepted] + self.valid[:self.n - 1]
         if accepted:
             self.consumed += 1
@@ -162,18 +203,18 @@ class FcDmrMachine(_MachineBase):
         cyc = self.cycle
         n = self.n
         fault = self.fault
-        fa = fault is not None and fault.active(cyc)
+        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
 
-        reads_a = self._read_regs(cyc, self.regs_a, 0, fa)
-        reads_b = self._read_regs(cyc, self.regs_b, 1, fa)
+        reads_a = self._read_regs(cyc, self.regs_a, 0, kinds)
+        reads_b = self._read_regs(cyc, self.regs_b, 1, kinds)
         errs = [a != b for a, b in zip(reads_a, reads_b)]
-        if fa:
+        if "comparator" in kinds:
             errs = [fault.du_apply(cyc, s, e) for s, e in enumerate(errs)]
         g_err = True in errs
 
         if g_err:
             vout = self.latches
-            if fa:
+            if "voter_latch" in kinds:
                 vout = [fault.latch_read(cyc, s, w)
                         for s, w in enumerate(vout)]
             s0 = self.in_hold
@@ -188,10 +229,9 @@ class FcDmrMachine(_MachineBase):
 
         # Clock edge.  Registers always recapture; everything else is
         # gated by the global error.  Both replicas evaluate s0 and vout,
-        # so without an active fault their next words are equal.
-        self.regs_a = self._advance(cyc, s0, vout, 0, fa)
-        self.regs_b = (self._advance(cyc, s0, vout, 1, fa) if fa
-                       else list(self.regs_a))
+        # so they differ at most in a stage with gate overrides.
+        self.regs_a, self.regs_b = self._advance(cyc, s0, (vout, vout),
+                                                 kinds)
         if g_err:
             self.stall_cycles += 1
         else:
@@ -230,8 +270,9 @@ class TmrMachine(_MachineBase):
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
         n = self.n
-        fa = self.fault is not None and self.fault.active(cyc)
-        reads = [self._read_regs(cyc, self.regs[r], r, fa)
+        fault = self.fault
+        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
+        reads = [self._read_regs(cyc, self.regs[r], r, kinds)
                  for r in range(self.REPLICAS)]
         out = None
         if self.valid[n - 1]:
@@ -240,13 +281,7 @@ class TmrMachine(_MachineBase):
             out = self.design.output_byte(voted)
             self.emitted += 1
         accepted = inp is not None
-        word = inp if accepted else 0
-        if not fa and reads[0] == reads[1] == reads[2]:
-            regs = self._advance(cyc, word, reads[0], 0, fa)
-            self.regs = [regs, list(regs), list(regs)]
-        else:
-            self.regs = [self._advance(cyc, word, reads[r], r, fa)
-                         for r in range(self.REPLICAS)]
+        self.regs = self._advance(cyc, inp if accepted else 0, reads, kinds)
         self.valid = [accepted] + self.valid[:n - 1]
         if accepted:
             self.consumed += 1
@@ -276,25 +311,26 @@ class TtrMachine(_MachineBase):
         self.phase = 0          # 0 accepts a new input; 1, 2 replay it
         self.held: Optional[int] = None
 
-    def _buffer_read(self, cyc: int, row: int, fa: bool) -> int:
+    def _buffer_read(self, cyc: int, row: int, kinds) -> int:
         word = self.buffer[row]
-        if fa:
+        if "register" in kinds:
             word = self.fault.reg_read(cyc, 0, self.n + row, word)
         return word
 
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
         n = self.n
-        fa = self.fault is not None and self.fault.active(cyc)
-        reads = self._read_regs(cyc, self.regs, 0, fa)
+        fault = self.fault
+        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
+        reads = self._read_regs(cyc, self.regs, 0, kinds)
 
         out = None
         if self.valid[n - 1]:
             self.buffer.append(reads[n - 1])
             if len(self.buffer) == 3:
-                voted = majority3(self._buffer_read(cyc, 0, fa),
-                                  self._buffer_read(cyc, 1, fa),
-                                  self._buffer_read(cyc, 2, fa))
+                voted = majority3(self._buffer_read(cyc, 0, kinds),
+                                  self._buffer_read(cyc, 1, kinds),
+                                  self._buffer_read(cyc, 2, kinds))
                 out = self.design.output_byte(voted)
                 self.emitted += 1
                 self.buffer.clear()
@@ -306,8 +342,8 @@ class TtrMachine(_MachineBase):
                 accepted = True
                 self.consumed += 1
         feeding = self.held is not None
-        self.regs = self._advance(cyc, self.held if feeding else 0, reads, 0,
-                                  fa)
+        self.regs = self._evaluate(cyc, self.held if feeding else 0, reads,
+                                   0, kinds)
         self.valid = [feeding] + self.valid[:n - 1]
         self.phase = (self.phase + 1) % 3
         self.cycle += 1

@@ -362,7 +362,7 @@ _ints = st.integers(min_value=0, max_value=2**20)
                                          "voter_latch")),
                         max_size=4).map(tuple),
     start_cycles=st.none() | st.lists(_ints, max_size=4).map(tuple),
-    stream=st.none() | st.binary(max_size=64),
+    stream=st.none() | st.binary(min_size=1, max_size=64),
     sample=st.none() | _ints,
     seed=_ints))
 def test_config_json_round_trip(config):

@@ -149,6 +149,9 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     pytest.param(["campaign", "--config",
                   {"scheme": "hfs", "seed": "x", "sample": 3}],
                  id="campaign --config seed string"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "stream_hex": ""}],
+                 id="campaign --config empty stream"),
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
      "--workers", "0"],
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",

@@ -124,6 +124,31 @@ def test_streaming_empty(design5):
     assert streaming_eval(design5, []) == []
 
 
+def gather_output_bits(design, packed_last):
+    """The output value bit by bit: output i is cut slot output_slots[i]."""
+    return sum(((packed_last >> slot) & 1) << i
+               for i, slot in enumerate(design.output_slots))
+
+
+def test_output_byte_equals_bit_gather(design5):
+    # The S-box's last cut is its outputs in declared order, so the packed
+    # word is returned as it is; a design whose outputs repeat a signal
+    # keeps a shorter last cut and gathers its bits.
+    assert design5.output_slots == tuple(range(8))
+    for word in range(256):
+        assert design5.output_byte(word) == gather_output_bits(design5, word)
+    gates = (Gate(2, "XOR2", (0, 1)), Gate(3, "AND2", (0, 1)))
+    repeat = Netlist(inputs=(0, 1), outputs=(3, 2, 3, 0), gates=gates)
+    d = cut_pipeline(repeat, 1)
+    assert d.output_slots == (0, 1, 0, 2)
+    for word in range(8):
+        assert d.output_byte(word) == gather_output_bits(d, word)
+    stream = [0, 1, 2, 3]
+    want = [sum(b << i for i, b in enumerate(repeat.evaluate(
+        [x & 1, x >> 1]))) for x in stream]
+    assert streaming_eval(d, stream) == want
+
+
 def test_streaming_matches_combinational_for_any_stage_count(sbox_netlist):
     stream = [7, 0, 255, 83, 129, 42]
     want = [sbox_reference(x) for x in stream]

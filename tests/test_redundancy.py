@@ -2,16 +2,19 @@
 redundancy."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from sboxsim import campaign
 from sboxsim.campaign import golden_run, run_scenario
-from sboxsim.faults import (FaultSpec, GateSite, PERMANENT, RegisterSite,
-                            ComparatorSite)
+from sboxsim.faults import (REPLICAS, ActiveFault, ComparatorSite, FaultSet,
+                            FaultSpec, GateSite, PERMANENT, RegisterSite,
+                            VoterLatchSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
-from sboxsim.pipeline import cut_pipeline
-from sboxsim.redundancy import (FcDmrMachine, TmrMachine, TtrMachine, feed,
-                                majority3, make_machine)
+from sboxsim.pipeline import build_stage_programs, cut_pipeline
+from sboxsim.redundancy import (MACHINE_CLASSES, FcDmrMachine, TmrMachine,
+                                TtrMachine, feed, majority3, make_machine)
 from sboxsim.synth import synth_sbox
 
 
@@ -289,3 +292,163 @@ def test_restore_inverts_canonical_state(design, scheme):
         assert outputs == golden.outputs[before:]
         assert emitted_at == golden.emitted_at[before:]
     assert golden.states == golden_run(scheme, design, stream).states
+
+
+# ---------------------------------------------------------------------------
+# Stage sharing across replicas, and hooks by site kind
+# ---------------------------------------------------------------------------
+
+HOOKS_OF_KIND = {"gate": {"gate_overrides"},
+                 "register": {"transform_regs", "reg_read"},
+                 "comparator": {"du_apply"},
+                 "voter_latch": {"latch_read"}}
+
+
+class EveryHook:
+    """A fault that claims every site kind, so a machine consults all of
+    its hooks whatever the fault's own kinds are."""
+
+    kinds = frozenset(HOOKS_OF_KIND)
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def __getattr__(self, name):
+        return getattr(self.fault, name)
+
+
+def reference_machine(scheme, design, fault):
+    """The scheme's machine with every stage of every replica evaluated on
+    its own, under every fault hook: the per-replica loop the sharing rule
+    replaced."""
+    class Reference(MACHINE_CLASSES[scheme]):
+        def _advance(self, cyc, word, srcs, kinds):
+            out = []
+            for r, src in enumerate(srcs):
+                regs = []
+                for s, p in enumerate(self.programs):
+                    w = src[s - 1] if s else word
+                    ov = kinds and self.fault.gate_overrides(cyc, s, r)
+                    regs.append(p.interp(w, ov) if ov else p.fast(w))
+                out.append(regs)
+            return out
+
+    return Reference(design, EveryHook(fault))
+
+
+def bind(specs, design, scheme):
+    return (FaultSet.bind(specs, design, scheme) if len(specs) > 1
+            else ActiveFault(specs[0], design, scheme))
+
+
+def sharing_cases(design, scheme):
+    gate = design.netlist.gates[60].id
+    cases = [[FaultSpec(GateSite(gate, r), model, 7, 3)]
+             for r in range(REPLICAS[scheme]) for model in ("flip", "sa1")]
+    cases += [[FaultSpec(RegisterSite(2, 1, 1), "flip", 8, 2)],
+              [FaultSpec(GateSite(design.netlist.gates[5].id, 0), "flip",
+                         6, 4),
+               FaultSpec(RegisterSite(3, 0, 1), "sa0", 9, 5)]]
+    if scheme == "hfs":
+        cases += [[FaultSpec(ComparatorSite(2), "sa1", 7, 3)],
+                  [FaultSpec(ComparatorSite(1), "flip", 8, 2)],
+                  # A latch is read only while the pipeline stalls.
+                  [FaultSpec(ComparatorSite(2), "sa1", 7, 3),
+                   FaultSpec(VoterLatchSite(1, 0), "flip", 8, 4)],
+                  [FaultSpec(VoterLatchSite(3, 2), "sa1", 6, PERMANENT),
+                   FaultSpec(RegisterSite(1, 0, 0), "flip", 9, 1)]]
+    else:
+        cases += [[FaultSpec(GateSite(gate, 2), "sa0", 7, PERMANENT)]]
+    return cases
+
+
+@pytest.mark.parametrize("scheme", ["hfs", "tmr"])
+def test_stage_sharing_equals_per_replica_reference(design, scheme):
+    # Every cycle's record and canonical state match a machine that
+    # evaluates each replica's stages on its own and calls every hook.
+    stream = list(random.Random(11).randbytes(24))
+
+    def run(m):
+        return [(rec, m.canonical_state()) for rec in feed(m, stream, 80)]
+
+    clean = run(make_machine(scheme, design))
+    for specs in sharing_cases(design, scheme):
+        got = run(make_machine(scheme, design, bind(specs, design, scheme)))
+        want = run(reference_machine(scheme, design,
+                                     bind(specs, design, scheme)))
+        assert got == want, [str(s) for s in specs]
+        assert got != clean, [str(s) for s in specs]    # the fault was seen
+
+
+def counted_programs(design, calls):
+    """Stage programs whose fast and interp calls add to calls."""
+    programs = build_stage_programs(design)
+    for p in programs:
+        for name in ("fast", "interp"):
+            fn = getattr(p, name)
+            setattr(p, name, lambda *a, fn=fn, name=name:
+                    calls.update((name,)) or fn(*a))
+    return programs
+
+
+@pytest.mark.parametrize("replica", [0, 1])
+def test_gate_faulted_hfs_cycle_evaluates_each_stage_once(design, replica):
+    calls = Counter()
+    programs = counted_programs(design, calls)
+    spec = FaultSpec(GateSite(design.netlist.gates[60].id, replica), "flip",
+                     4, 1)
+    m = make_machine("hfs", design, ActiveFault(spec, design, "hfs"),
+                     programs)
+    for x in range(4):
+        m.step(x)
+    calls.clear()
+    m.step(4)
+    assert calls == {"fast": design.n_stages, "interp": 1}
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_fault_hooks_run_only_for_the_fault_site_kind(design, scheme,
+                                                      monkeypatch):
+    called = Counter()
+    for hook in set().union(*HOOKS_OF_KIND.values()):
+        fn = getattr(ActiveFault, hook)
+        monkeypatch.setattr(ActiveFault, hook,
+                            lambda *a, fn=fn, hook=hook:
+                            called.update((hook,)) or fn(*a))
+    # Each case's fault is active and read; a voter latch is read only
+    # while a comparator stalls the pipeline.
+    stream = list(range(24))
+    n = design.n_stages
+    cases = [[GateSite(design.netlist.gates[60].id, 0)],
+             [RegisterSite(2, 1, 0)]]
+    if scheme == "ttr":
+        cases.append([RegisterSite(n + 1, 3, 0)])
+    if scheme == "hfs":
+        cases += [[ComparatorSite(2)],
+                  [ComparatorSite(2), VoterLatchSite(1, 0)]]
+    for sites in cases:
+        called.clear()
+        fault = bind([FaultSpec(site, "sa1", 6, 12) for site in sites],
+                     design, scheme)
+        for _ in feed(make_machine(scheme, design, fault), stream):
+            pass
+        kinds = {site.kind for site in sites}
+        assert {h for k in kinds for h in HOOKS_OF_KIND[k]} >= set(called)
+        assert all(HOOKS_OF_KIND[k] & set(called) for k in kinds), \
+            ([str(site) for site in sites], called)
+
+
+@pytest.mark.parametrize("scheme,most", [
+    pytest.param("original", 225_804 + 19_296, id="original"),
+    pytest.param("ttr", 266_489 + 19_296, id="ttr"),
+])
+def test_single_replica_grids_evaluate_no_more_stages(design, scheme, most,
+                                                      monkeypatch):
+    # Stage evaluations over the full transient grid, golden run included,
+    # stay at or below the per-replica loop's count: a lone replica has
+    # nothing to share, and gains no evaluations either.
+    calls = Counter()
+    monkeypatch.setattr(campaign, "build_stage_programs",
+                        lambda d: counted_programs(d, calls))
+    campaign.run_campaign(design, campaign.CampaignConfig(scheme=scheme))
+    assert sum(calls.values()) <= most
