@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .faults import (PERMANENT, REPLICAS, STUCK0, STUCK1, FLIP, ActiveFault,
-                     FaultSet, FaultSpec, enumerate_sites)
+from .faults import (PERMANENT, REPLICAS, SITE_KINDS, STUCK0, STUCK1, FLIP,
+                     ActiveFault, FaultSet, FaultSpec, enumerate_sites)
 from .pipeline import PipelineDesign, build_stage_programs
 from .redundancy import feed, majority3, make_machine
 
@@ -203,8 +203,9 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     if programs is None:
         programs = build_stage_programs(design)
     n_lanes = programs[0].n_lanes
-    slot = fault.reg_mask.bit_length() - 1
-    stuck = 0 if fault.model == STUCK0 else (1 << n_lanes) - 1
+    site = fault.spec.site
+    reg = site if site.kind == "register" else None
+    stuck = 0 if fault.spec.model == STUCK0 else (1 << n_lanes) - 1
 
     def last_words(replica=None):
         """One replica's last-boundary lane words; None is fault-free."""
@@ -212,14 +213,13 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
         for s, p in enumerate(programs):
             ov = replica is not None and fault.gate_overrides(0, s, replica)
             words = p.lanes(words, ov or frozenset())
-            if replica is not None and s == fault.reg_boundary and \
-                    replica == fault.reg_replica:
+            if reg is not None and (s, replica) == (reg.stage, reg.replica):
                 # A stuck register bit, read by what follows.
-                words = words[:slot] + (stuck,) + words[slot + 1:]
+                words = words[:reg.bit] + (stuck,) + words[reg.bit + 1:]
         return words
 
     clean = last_words()
-    faulty = fault.spec.site.replica
+    faulty = site.replica
     rows = [last_words(r) if r == faulty else clean
             for r in range(REPLICAS[scheme])]
     out = rows[0] if len(rows) == 1 else [majority3(*w) for w in zip(*rows)]
@@ -281,6 +281,10 @@ class CampaignConfig:
             if any(type(v) is not int for v in values):
                 raise ValueError(f"{name} must be integers, got "
                                  f"{list(values)!r}")
+        unknown = [k for k in self.site_kinds if k not in SITE_KINDS]
+        if unknown:
+            raise ValueError(f"unknown site kind {unknown[0]!r}; expected "
+                             f"one of {', '.join(SITE_KINDS)}")
         if self.stream is not None and not self.stream:
             raise ValueError("stream must not be empty")
         if type(self.seed) is not int:

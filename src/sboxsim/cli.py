@@ -19,9 +19,8 @@ from . import __version__
 from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
                        FAULT_CLASSES, run_campaign, run_scenario,
                        DEFAULT_SEED)
-from .faults import (ComparatorSite, FaultSpec, GateSite, InvalidFaultError,
-                     InvalidSiteError, PERMANENT, RegisterSite,
-                     VoterLatchSite)
+from .faults import (FaultSpec, InvalidFaultError, InvalidSiteError,
+                     PERMANENT, SITE_KINDS, parse_site)
 from .gf import DEFAULT_PARAMS, FieldParams, sbox_composite, sbox_reference
 from .metrics import build_metrics, render_table
 from .netlist import CostTable, DEFAULT_COSTS
@@ -73,27 +72,6 @@ def _build_design(params: FieldParams, costs: CostTable, stages: int):
     except ValueError as e:
         raise ConfigError(f"the field parameters do not synthesize: {e}")
     return cut_pipeline(netlist, stages, costs)
-
-
-def _parse_site(text: str):
-    parts = text.split(":")
-    try:
-        kind = parts[0]
-        nums = [int(p.lstrip("r")) for p in parts[1:]]
-        if kind == "gate":
-            return GateSite(nums[0], nums[1] if len(nums) > 1 else 0)
-        if kind == "reg":
-            return RegisterSite(nums[0], nums[1],
-                                nums[2] if len(nums) > 2 else 0)
-        if kind == "du":
-            return ComparatorSite(nums[0])
-        if kind == "voter":
-            return VoterLatchSite(nums[0], nums[1])
-    except (ValueError, IndexError):
-        pass
-    raise ConfigError(
-        f"bad fault site {text!r}; expected gate:ID[:REPLICA], "
-        "reg:STAGE:BIT[:REPLICA], du:STAGE, or voter:STAGE:BIT")
 
 
 def _write_output(path, write) -> None:
@@ -186,10 +164,12 @@ def cmd_simulate(args) -> int:
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read vector file "
                               f"{args.input_file}: {e}")
-    elif args.count < 0:
-        raise ConfigError(f"--count must be nonnegative, got {args.count}")
     else:
-        stream = default_stream(args.seed)[:args.count]
+        stream = default_stream(args.seed)
+        if not 0 <= args.count <= len(stream):
+            raise ConfigError(f"--count must be 0 to {len(stream)}, "
+                              f"got {args.count}")
+        stream = stream[:args.count]
 
     fault = None
     if args.fault_site:
@@ -199,7 +179,7 @@ def cmd_simulate(args) -> int:
         except ValueError:
             raise ConfigError(f"bad fault duration {args.fault_duration!r}; "
                               "expected a cycle count or 'perm'")
-        fault = FaultSpec(_parse_site(args.fault_site), args.fault_model,
+        fault = FaultSpec(parse_site(args.fault_site), args.fault_model,
                           args.fault_start, duration)
 
     if fault is None:
@@ -365,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--durations", default="1,2,5,10",
                    help="transient durations in cycles (default 1,2,5,10)")
     p.add_argument("--sites", default="gate,register",
-                   help="site kinds: gate,register,comparator,voter_latch")
+                   help="site kinds: " + ",".join(SITE_KINDS))
     p.add_argument("--starts", help="start cycles (default: one full "
                                     "pipeline occupancy window)")
     p.add_argument("--sample", type=int,

@@ -18,11 +18,23 @@ Faults perturb what the circuit *reads*: a faulted gate output is forced
 as the stage logic evaluates, a faulted register or latch bit is
 transformed whenever the machine samples the word.  Stored values are
 left untouched, so a fault's effect ends with its window.
+
+Binding a spec to a design and scheme (ActiveFault) checks its site and
+turns it into a table for its site kind: gate override sets per (stage,
+replica), and (and, or, xor) mask triples per register (replica,
+boundary), per comparator stage (on bit 0) and per voter-latch boundary.
+A masked read is (word & and | or) ^ xor, so stuck-at-0 on the bits m is
+(~m, 0, 0), stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).  The five
+hooks the machines call are lookups in these tables, and a FaultSet
+merges its active members' tables into its own: a later gate fault
+replaces an earlier one on the same gate, and triples on one word compose
+in list order.  Hooks answer for the cycle last passed to active(), which
+the machines call first in every cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .pipeline import PipelineDesign
@@ -87,6 +99,28 @@ class VoterLatchSite:
 
 
 FaultSite = Union[GateSite, RegisterSite, ComparatorSite, VoterLatchSite]
+_SITE_CLASSES = {"gate": GateSite, "reg": RegisterSite,
+                 "du": ComparatorSite, "voter": VoterLatchSite}
+SITE_KINDS = tuple(cls.kind for cls in _SITE_CLASSES.values())
+
+
+def parse_site(text: str) -> FaultSite:
+    """The site whose str() is text; a replica may be left out (replica
+    0) or written without its "r"."""
+    prefix, *values = text.split(":")
+    cls = _SITE_CLASSES.get(prefix)
+    names = [f.name for f in fields(cls)] if cls else []
+    if names[-1:] == ["replica"]:
+        if len(values) == len(names) - 1:
+            values.append("0")
+        elif len(values) == len(names):
+            values[-1] = values[-1].removeprefix("r")
+    if not names or len(values) != len(names) or \
+            not all(v.isascii() and v.isdigit() for v in values):
+        raise InvalidSiteError(
+            f"bad fault site {text!r}; expected gate:ID[:rREPLICA], "
+            "reg:STAGE:BIT[:rREPLICA], du:STAGE, or voter:STAGE:BIT")
+    return cls(*map(int, values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,31 +183,58 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
     return sites
 
 
-def _apply_bit(model: str, word: int, mask: int) -> int:
+_FORCED = {STUCK0: 0, STUCK1: 1, FLIP: "flip"}   # a faulted gate's output
+
+
+def _triple(model: str, mask: int) -> tuple:
+    """The (and, or, xor) masks of model on the bits of mask."""
     if model == STUCK0:
-        return word & ~mask
-    if model == STUCK1:
-        return word | mask
-    return word ^ mask
+        return ~mask, 0, 0
+    return (-1, mask, 0) if model == STUCK1 else (-1, 0, mask)
+
+
+def _then(t: tuple, u: tuple) -> tuple:
+    """The triple of reading through t, then through u: per bit, each
+    maps x to 0, 1, x or not x, and so does the two in turn."""
+    a, o, x = t
+    a2, o2, x2 = u
+    return a & a2, o & a2 | o2, x & a2 & ~o2 ^ x2
+
+
+def _then_gates(ov: frozenset, later: frozenset) -> frozenset:
+    """ov's overrides, with later's replacing those on the same gate."""
+    return frozenset({**dict(ov), **dict(later)}.items())
+
+
+def _merged(tables, then) -> dict:
+    """One table from several, their entries for one key joined in order
+    by then."""
+    out = {}
+    for table in tables:
+        for key, v in table.items():
+            out[key] = then(out[key], v) if key in out else v
+    return out
 
 
 class ActiveFault:
-    """One FaultSpec bound to a design and scheme, with fast per-cycle hooks.
+    """One FaultSpec bound to a design and scheme, as hook tables.
 
-    Machines call active(cycle) once per cycle; the remaining hooks are only
-    consulted while the window is open.  Hooks are read transforms: they
-    never modify stored state.  kinds holds the site's kind; each hook is
-    the identity for sites of any other kind, so machines call only the
-    hooks of the kinds a fault has (gate: gate_overrides; register:
-    transform_regs and reg_read; comparator: du_apply; voter_latch:
-    latch_read).
+    Machines call active(cycle) once per cycle and consult the hooks only
+    while it is true.  Hooks are read transforms: they never modify
+    stored state.  kinds holds the site's kind; each hook is the identity
+    for sites of any other kind (its table is empty), so machines call
+    only the hooks of the kinds a fault has (gate: gate_overrides;
+    register: transform_regs and reg_read; comparator: du_apply;
+    voter_latch: latch_read).
     """
+
+    # Tables of the kinds a fault does not have: one shared empty dict.
+    _gates = _regs = _du = _latches = {}
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
         if scheme not in SCHEMES:
             raise InvalidSiteError(f"unknown scheme {scheme!r}")
         self.spec = spec
-        self.scheme = scheme
         self.start = spec.start_cycle
         self.end = (None if spec.duration is PERMANENT
                     else spec.start_cycle + spec.duration)
@@ -181,29 +242,15 @@ class ActiveFault:
         n_in = len(design.netlist.inputs)
         widths = [len(c) for c in design.cuts]
 
-        self.gate_stage = -1
-        self.gate_replica = -1
-        self.gate_map = frozenset()
-        self.reg_boundary = -1
-        self.reg_replica = -1
-        self.reg_mask = 0
-        self.du_stage = -1
-        self.latch_boundary = -1
-        self.latch_mask = 0
-        self.model = spec.model
-
         if isinstance(site, GateSite):
             if not (n_in <= site.gate_id < design.netlist.signal_count):
                 raise InvalidSiteError(f"no gate {site.gate_id} in design")
             if not (0 <= site.replica < REPLICAS[scheme]):
                 raise InvalidSiteError(
                     f"replica {site.replica} out of range for {scheme}")
-            self.gate_stage = design.stage_of_gate[site.gate_id - n_in]
-            self.gate_replica = site.replica
-            self.gate_map = frozenset({(site.gate_id,
-                                        0 if spec.model == STUCK0 else
-                                        1 if spec.model == STUCK1 else
-                                        "flip")})
+            stage = design.stage_of_gate[site.gate_id - n_in]
+            self._gates = {(stage, site.replica): frozenset(
+                {(site.gate_id, _FORCED[spec.model])})}
         elif isinstance(site, RegisterSite):
             max_stage = design.n_stages + _buffer_rows(scheme)
             if not (0 <= site.stage < max_stage):
@@ -216,16 +263,15 @@ class ActiveFault:
             if not (0 <= site.replica < REPLICAS[scheme]):
                 raise InvalidSiteError(
                     f"replica {site.replica} out of range for {scheme}")
-            self.reg_boundary = site.stage
-            self.reg_replica = site.replica
-            self.reg_mask = 1 << site.bit
+            self._regs = {(site.replica, site.stage):
+                          _triple(spec.model, 1 << site.bit)}
         elif isinstance(site, ComparatorSite):
             if scheme != "hfs":
                 raise InvalidSiteError("comparators exist only in the "
                                        "duplicated-pipeline scheme")
             if not (0 <= site.stage < design.n_stages):
                 raise InvalidSiteError(f"no comparator for stage {site.stage}")
-            self.du_stage = site.stage
+            self._du = {site.stage: _triple(spec.model, 1)}
         elif isinstance(site, VoterLatchSite):
             if scheme != "hfs":
                 raise InvalidSiteError("voter latches exist only in the "
@@ -235,8 +281,7 @@ class ActiveFault:
             if not (0 <= site.bit < widths[site.stage]):
                 raise InvalidSiteError(
                     f"voter {site.stage} has no bit {site.bit}")
-            self.latch_boundary = site.stage
-            self.latch_mask = 1 << site.bit
+            self._latches = {site.stage: _triple(spec.model, 1 << site.bit)}
         else:
             raise InvalidSiteError(f"unrecognized site {site!r}")
         self.kinds = frozenset((site.kind,))
@@ -247,52 +292,46 @@ class ActiveFault:
     def expired(self, cycle: int) -> bool:
         return self.end is not None and cycle >= self.end
 
-    # Hooks below are only consulted while active(cycle) is true; machines
-    # gate on that themselves, so the hooks skip the window check.
+    # The hooks answer for the cycle last passed to active() and are only
+    # consulted while it was true, so they skip the window check.
 
     def gate_overrides(self, cycle: int, stage: int,
                        replica: int) -> Optional[frozenset]:
-        if stage == self.gate_stage and replica == self.gate_replica:
-            return self.gate_map
-        return None
+        return self._gates.get((stage, replica))
 
     def transform_regs(self, cycle: int, replica: int,
                        regs: list[int]) -> list[int]:
-        b = self.reg_boundary
-        if replica != self.reg_replica or not 0 <= b < len(regs):
-            return regs
-        out = list(regs)
-        out[b] = _apply_bit(self.model, out[b], self.reg_mask)
+        out = regs
+        for (r, b), (a, o, x) in self._regs.items():
+            if r == replica and b < len(regs):
+                if out is regs:
+                    out = list(regs)
+                out[b] = (out[b] & a | o) ^ x
         return out
 
     def reg_read(self, cycle: int, replica: int, boundary: int,
                  word: int) -> int:
-        if boundary == self.reg_boundary and replica == self.reg_replica:
-            return _apply_bit(self.model, word, self.reg_mask)
-        return word
+        t = self._regs.get((replica, boundary))
+        return word if t is None else (word & t[0] | t[1]) ^ t[2]
 
     def du_apply(self, cycle: int, stage: int, err: bool) -> bool:
-        if stage != self.du_stage:
-            return err
-        if self.model == STUCK0:
-            return False
-        if self.model == STUCK1:
-            return True
-        return not err
+        t = self._du.get(stage)
+        return err if t is None else bool((err & t[0] | t[1]) ^ t[2])
 
     def latch_read(self, cycle: int, boundary: int, word: int) -> int:
-        if boundary == self.latch_boundary:
-            return _apply_bit(self.model, word, self.latch_mask)
-        return word
+        t = self._latches.get(boundary)
+        return word if t is None else (word & t[0] | t[1]) ^ t[2]
 
 
-class FaultSet:
+class FaultSet(ActiveFault):
     """Several simultaneous faults, applied in list order.
 
     Multi-fault scenarios carry no correction guarantee; they exist so the
     classifier can report what actually happens.  Member windows are
-    checked per cycle, so faults with different start/duration compose.
-    kinds is the union of the members' site kinds.
+    checked per cycle, so faults with different start/duration compose:
+    active(cycle) merges the tables of the members active at that cycle
+    whenever that set of members changes.  kinds is the union of the
+    members' site kinds.
     """
 
     def __init__(self, faults: list):
@@ -300,44 +339,21 @@ class FaultSet:
             raise ValueError("empty fault set")
         self.faults = list(faults)
         self.kinds = frozenset().union(*(f.kinds for f in self.faults))
+        self._live = ()     # the members the tables were merged from
 
     @classmethod
     def bind(cls, specs, design: PipelineDesign, scheme: str) -> "FaultSet":
         return cls([ActiveFault(s, design, scheme) for s in specs])
 
     def active(self, cycle: int) -> bool:
-        return any(f.active(cycle) for f in self.faults)
+        live = tuple(f for f in self.faults if f.active(cycle))
+        if live != self._live:
+            self._live = live
+            self._gates = _merged((f._gates for f in live), _then_gates)
+            self._regs = _merged((f._regs for f in live), _then)
+            self._du = _merged((f._du for f in live), _then)
+            self._latches = _merged((f._latches for f in live), _then)
+        return bool(live)
 
     def expired(self, cycle: int) -> bool:
         return all(f.expired(cycle) for f in self.faults)
-
-    def gate_overrides(self, cycle, stage, replica) -> Optional[frozenset]:
-        merged = {}
-        for f in self.faults:
-            if f.active(cycle):
-                merged.update(f.gate_overrides(cycle, stage, replica) or ())
-        return frozenset(merged.items()) if merged else None
-
-    def transform_regs(self, cycle, replica, regs) -> list[int]:
-        for f in self.faults:
-            if f.active(cycle):
-                regs = f.transform_regs(cycle, replica, regs)
-        return regs
-
-    def reg_read(self, cycle, replica, boundary, word) -> int:
-        for f in self.faults:
-            if f.active(cycle):
-                word = f.reg_read(cycle, replica, boundary, word)
-        return word
-
-    def du_apply(self, cycle, stage, err) -> bool:
-        for f in self.faults:
-            if f.active(cycle):
-                err = f.du_apply(cycle, stage, err)
-        return err
-
-    def latch_read(self, cycle, boundary, word) -> int:
-        for f in self.faults:
-            if f.active(cycle):
-                word = f.latch_read(cycle, boundary, word)
-        return word

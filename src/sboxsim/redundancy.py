@@ -34,16 +34,15 @@ the site kinds its fault has (ActiveFault.kinds): each hook is the
 identity for any other kind.
 
 Clocking convention, one step() per cycle: outputs and error flags are
-sampled from current register state, stage logic evaluates (_evaluate
-for the one replica of original and ttr, _advance for the replicas of
-hfs and tmr), then the clock edge commits new register values.  Within a
-cycle _advance evaluates each distinct (stage, input word, gate
-overrides) once across replicas: a stage with overrides runs for its own
-replica only, and never also clean for it, and every other stage is
-shared by the replicas that read the same word into it.  Both hfs
-replicas read (s0, vout), so a gate-faulted hfs cycle makes n fault-free
-stage evaluations and one faulted one; a tmr replica whose boundary word
-diverged still shares its other stages.
+sampled from current register state, stage logic evaluates (_advance,
+for every machine's replicas), then the clock edge commits new register
+values.  Within a cycle _advance evaluates each distinct (stage, input
+word, gate overrides) once across replicas: a stage with overrides runs
+for its own replica only, and never also clean for it, and every other
+stage is shared by the replicas that read the same word into it.  Both
+hfs replicas read (s0, vout), so a gate-faulted hfs cycle makes n
+fault-free stage evaluations and one faulted one; a tmr replica whose
+boundary word diverged still shares its other stages.
 With n stages, the output for the input accepted at cycle t is emitted
 at cycle t + n (plus any stalls in between).
 """
@@ -90,21 +89,6 @@ class _MachineBase:
         self.emitted = 0
         self.stall_cycles = 0
 
-    def _evaluate(self, cyc: int, word: int, src: list[int], replica: int,
-                  kinds) -> list[int]:
-        """One replica's next register words: stage 0 evaluates word and
-        stage s the word src[s - 1], under this cycle's gate faults.  kinds
-        holds the site kinds of the active fault, empty without one."""
-        if "gate" not in kinds:
-            return [p.fast(w) for p, w in zip(self.programs, (word, *src))]
-        overrides = self.fault.gate_overrides
-        out = []
-        for s, p in enumerate(self.programs):
-            w = src[s - 1] if s else word
-            ov = overrides(cyc, s, replica)
-            out.append(p.interp(w, ov) if ov else p.fast(w))
-        return out
-
     def _advance(self, cyc: int, word: int, srcs, kinds) -> list:
         """Every replica's next register words, replica r reading
         srcs[r], with each distinct (stage, input word, overrides)
@@ -117,7 +101,7 @@ class _MachineBase:
         if overrides is None and srcs.count(first) == len(srcs):
             # Every stage is shared, as in each golden-run cycle: one
             # pass, copied, with no per-stage bookkeeping.
-            regs = self._evaluate(cyc, word, first, 0, kinds)
+            regs = [p.fast(w) for p, w in zip(self.programs, (word, *first))]
             out = [regs]
             while len(out) < len(srcs):
                 out.append(regs[:])
@@ -160,8 +144,8 @@ class PlainPipelineMachine(_MachineBase):
             out = self.design.output_byte(reads[self.n - 1])
             self.emitted += 1
         accepted = inp is not None
-        self.regs = self._evaluate(cyc, inp if accepted else 0, reads, 0,
-                                   kinds)
+        self.regs = self._advance(cyc, inp if accepted else 0, (reads,),
+                                  kinds)[0]
         self.valid = [accepted] + self.valid[:self.n - 1]
         if accepted:
             self.consumed += 1
@@ -342,8 +326,8 @@ class TtrMachine(_MachineBase):
                 accepted = True
                 self.consumed += 1
         feeding = self.held is not None
-        self.regs = self._evaluate(cyc, self.held if feeding else 0, reads,
-                                   0, kinds)
+        self.regs = self._advance(cyc, self.held if feeding else 0,
+                                  (reads,), kinds)[0]
         self.valid = [feeding] + self.valid[:n - 1]
         self.phase = (self.phase + 1) % 3
         self.cycle += 1

@@ -314,8 +314,11 @@ def test_enumeration_equals_sampling_the_full_grid(design, config):
 
 
 def test_empty_campaign_rejected(design):
-    cfg = CampaignConfig(scheme="hfs", fault_class="transient",
-                         site_kinds=("nonexistent",))
+    with pytest.raises(ValueError, match="'nonexistent'"):
+        CampaignConfig(scheme="hfs", fault_class="transient",
+                       site_kinds=("gate", "nonexistent"))
+    cfg = CampaignConfig(scheme="tmr", fault_class="transient",
+                         site_kinds=("comparator",))
     with pytest.raises(EmptyCampaignError):
         enumerate_scenarios(design, cfg)
     for sample in (0, -1):

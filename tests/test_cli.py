@@ -156,6 +156,11 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
      "--workers", "0"],
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
      "--workers", "-1"],
+    ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
+     "--sites", "gate,voter"],
+    ["simulate", "--design", "hfs", "--count", "1000"],
+    ["simulate", "--design", "hfs", "--fault-site", "du:1:5:9"],
+    ["simulate", "--design", "hfs", "--fault-site", "gate:60:0:7"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
                                          capsys):
@@ -254,6 +259,20 @@ def test_simulate_with_fault(tmp_path, capsys):
     assert any(r["Err"] for r in recs)
     outs = [r["output"] for r in recs if r["output"] is not None]
     assert len(outs) == 10
+
+
+@pytest.mark.parametrize("model", ["sa0", "sa1", "flip"])
+def test_comparator_fault_trace_prints_err_as_booleans(model, tmp_path,
+                                                       capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main(["simulate", "--design", "hfs", "--count", "10",
+                 "--fault-site", "du:2", "--fault-model", model,
+                 "--fault-start", "6", "--fault-duration", "3",
+                 "--trace", str(trace)]) == 0
+    recs = [json.loads(l) for l in trace.read_text().splitlines()[1:]]
+    errs = [e for r in recs for e in r["err"]]
+    assert errs and all(type(e) is bool for e in errs)
+    assert any(errs) == (model != "sa0")
 
 
 def test_simulate_explicit_hex_input(capsys):

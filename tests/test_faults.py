@@ -1,12 +1,16 @@
 """Fault sites, specs, enumeration, and overlay semantics."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sboxsim.faults import (FLIP, MODELS, ActiveFault, ComparatorSite,
-                            FaultSpec, GateSite, InvalidFaultError,
-                            InvalidSiteError, PERMANENT, RegisterSite,
-                            VoterLatchSite, enumerate_sites)
+from sboxsim.faults import (FLIP, MODELS, SCHEMES, SITE_KINDS, ActiveFault,
+                            ComparatorSite, FaultSet, FaultSpec, GateSite,
+                            InvalidFaultError, InvalidSiteError, PERMANENT,
+                            RegisterSite, VoterLatchSite, enumerate_sites,
+                            parse_site)
 from sboxsim.gf import DEFAULT_PARAMS
 from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import synth_sbox
@@ -137,7 +141,6 @@ def test_voter_latch_overlay(design):
 
 
 def test_fault_set_composes_windows(design):
-    from sboxsim.faults import FaultSet
     fs = FaultSet.bind([FaultSpec(RegisterSite(1, 0, 0), "flip", 2, 2),
                         FaultSpec(RegisterSite(1, 1, 0), "flip", 5, 2)],
                        design, "hfs")
@@ -147,7 +150,10 @@ def test_fault_set_composes_windows(design):
     assert not fs.expired(6)
     assert fs.expired(7)
     # At cycle 2 only the first member applies; at 5 only the second.
+    # Hooks answer for the cycle last passed to active().
+    fs.active(2)
     assert fs.transform_regs(2, 0, [0] * 5)[1] == 0b01
+    fs.active(5)
     assert fs.transform_regs(5, 0, [0] * 5)[1] == 0b10
 
 
@@ -183,3 +189,110 @@ def test_site_strings_are_stable(design):
     assert str(VoterLatchSite(1, 9)) == "voter:1:9"
     assert str(FaultSpec(GateSite(12, 1), "sa0", 3, PERMANENT)) \
         == "gate:12:r1:sa0:@3+perm"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_parse_site_inverts_str(design, scheme):
+    sites = enumerate_sites(design, scheme)
+    assert {s.kind for s in sites} <= set(SITE_KINDS)
+    for site in sites:
+        assert parse_site(str(site)) == site
+
+
+def test_parse_site_replica_may_be_short():
+    assert parse_site("gate:60") == GateSite(60, 0)
+    assert parse_site("gate:60:1") == GateSite(60, 1)
+    assert parse_site("reg:1:2:2") == RegisterSite(1, 2, 2)
+    assert parse_site("reg:1:2") == RegisterSite(1, 2, 0)
+
+
+@pytest.mark.parametrize("text", [
+    "du:1:5:9", "gate:60:0:7", "gate:60:r0:7", "reg:1:2:r0:1", "voter:1:2:3",
+    "voter:1:2:r0", "du:r1", "gate:r60", "gate:60:rr1", "gate:60:r",
+    "gate:-1", "gate:x", "gate: 6", "gate:\u0663", "reg:1", "voter:1",
+    "du", "gate:", "gibberish", "", "Gate:6", "register:1:2",
+])
+def test_parse_site_rejects_malformed(text):
+    with pytest.raises(InvalidSiteError):
+        parse_site(text)
+
+
+def _read(model, word, mask):
+    """One fault's read of word: the test's own per-model oracle."""
+    if model == "sa0":
+        return word & ~mask
+    if model == "sa1":
+        return word | mask
+    return word ^ mask
+
+
+@pytest.mark.parametrize("first,second", list(product(MODELS, repeat=2)))
+@pytest.mark.parametrize("bits", [(3, 3), (3, 0)], ids=["same", "different"])
+def test_fault_set_composes_like_its_members_one_by_one(design, first,
+                                                        second, bits):
+    # Two faults each on one register word, one voter-latch word and one
+    # comparator, with overlapping windows (cycles 2-5 and 4-7): at every
+    # cycle each hook equals the active members applied one at a time, in
+    # list order.  A comparator has bit 0 only.
+    members = []
+    for model, bit, start in ((first, bits[0], 2), (second, bits[1], 4)):
+        for site, mask in ((RegisterSite(1, bit, 1), 1 << bit),
+                           (VoterLatchSite(1, bit), 1 << bit),
+                           (ComparatorSite(2), 1)):
+            members.append((FaultSpec(site, model, start, 4), mask))
+    fs = FaultSet.bind([spec for spec, _ in members], design, "hfs")
+    width = len(design.cuts[1])
+    rng = random.Random(5)
+    words = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(14)]
+    regs = words[:design.n_stages]
+
+    for cyc in range(10):
+        live = [(spec.site.kind, spec.model, mask) for spec, mask in members
+                if spec.start_cycle <= cyc < spec.start_cycle + spec.duration]
+        assert fs.active(cyc) == bool(live)
+        if not live:
+            continue
+
+        def want(kind, word):
+            for k, model, mask in live:
+                if k == kind:
+                    word = _read(model, word, mask)
+            return word
+
+        for w in words:
+            assert fs.reg_read(cyc, 1, 1, w) == want("register", w)
+            assert fs.reg_read(cyc, 0, 1, w) == w
+            assert fs.reg_read(cyc, 1, 2, w) == w
+            assert fs.latch_read(cyc, 1, w) == want("voter_latch", w)
+            assert fs.latch_read(cyc, 0, w) == w
+        assert fs.transform_regs(cyc, 1, regs) == \
+            [want("register", w) if b == 1 else w for b, w in enumerate(regs)]
+        assert fs.transform_regs(cyc, 0, regs) == regs
+        for err in (False, True):
+            assert fs.du_apply(cyc, 2, err) is bool(want("comparator", err))
+            assert fs.du_apply(cyc, 1, err) is err
+
+
+def test_fault_set_later_gate_fault_replaces_earlier(design):
+    n_in = len(design.netlist.inputs)
+    by_stage = {}
+    for g in design.netlist.gates:
+        by_stage.setdefault(design.stage_of_gate[g.id - n_in], []).append(g.id)
+    stage, (g, h, *_) = next((s, ids) for s, ids in by_stage.items()
+                             if len(ids) > 1)
+    specs = [FaultSpec(GateSite(g, 1), "sa0", 2, 4),
+             FaultSpec(GateSite(h, 1), "flip", 3, 2),
+             FaultSpec(GateSite(g, 1), "sa1", 4, 4)]
+    fs = FaultSet.bind(specs, design, "hfs")
+    forced = {"sa0": 0, "sa1": 1, "flip": "flip"}
+    for cyc in range(10):
+        merged = {}
+        for spec in specs:
+            if spec.start_cycle <= cyc < spec.start_cycle + spec.duration:
+                merged[spec.site.gate_id] = forced[spec.model]
+        assert fs.active(cyc) == bool(merged)
+        if merged:
+            assert fs.gate_overrides(cyc, stage, 1) == \
+                frozenset(merged.items())
+            assert fs.gate_overrides(cyc, stage, 0) is None
+            assert fs.gate_overrides(cyc, stage + 1, 1) is None

@@ -220,8 +220,11 @@ def test_faulted_stage_variants_match_reference(design5):
         # Scalar variant against the reference, then lane mode against the
         # scalar variant, bit for bit on all 256 inputs.
         p = programs[s]
-        overrides = FaultSet.bind(specs, design5, "original") \
-            .gate_overrides(0, s, 0) if specs else frozenset()
+        overrides = frozenset()
+        if specs:
+            fault = FaultSet.bind(specs, design5, "original")
+            fault.active(0)
+            overrides = fault.gate_overrides(0, s, 0)
         forced = {spec.site.gate_id: FORCED_OUTPUT[spec.model]
                   for spec in specs}
         got = []
