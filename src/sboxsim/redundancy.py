@@ -61,7 +61,7 @@ def majority3(a: int, b: int, c: int) -> int:
     return (a & b) | (a & c) | (b & c)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     cycle: int
     input: Optional[int]

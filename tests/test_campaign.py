@@ -12,8 +12,8 @@ from sboxsim import campaign
 from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
                               default_stream, enumerate_scenarios,
                               golden_run, run_campaign, run_scenario)
-from sboxsim.faults import (FLIP, FaultSpec, GateSite, PERMANENT,
-                            RegisterSite, enumerate_sites)
+from sboxsim.faults import (FLIP, FaultSpec, GateSite, InvalidFaultError,
+                            PERMANENT, RegisterSite, enumerate_sites)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import build_stage_programs, cut_pipeline
 from sboxsim.redundancy import make_machine
@@ -107,7 +107,8 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     # Every site of the scheme gets a transient and a permanent fault,
     # models, durations and starts taking turns; starts run from cycle 0
     # through mid-stream to the drain and past it.  Then two-fault sets
-    # whose members start at different cycles.
+    # whose members start at different cycles.  A scenario whose every
+    # fault starts once the run has ended is rejected on both paths.
     stream = [0x00, 0x53, 0xFF, 0x1C, 0xA7, 0x80]
     programs = build_stage_programs(design)
     golden = golden_run(scheme, design, stream, programs)
@@ -126,6 +127,17 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     def classify(spec, trace):
         return run_scenario(scheme, design, stream, spec, golden, programs,
                             collect_trace=trace)[0]
+
+    def first_start(spec):
+        return min(s.start_cycle for s in
+                   (spec if isinstance(spec, list) else [spec]))
+    late = [spec for spec in specs if first_start(spec) >= end]
+    assert late
+    for spec in late:
+        for trace in (False, True):
+            with pytest.raises(InvalidFaultError):
+                classify(spec, trace)
+    specs = [spec for spec in specs if first_start(spec) < end]
     resumed = [classify(spec, False) for spec in specs]
     assert resumed == [classify(spec, True) for spec in specs]
 
@@ -435,6 +447,32 @@ def test_campaign_csv_columns(design, tmp_path):
     assert all(",perm," in line for line in lines[1:])
 
 
+def test_fault_after_the_run_is_rejected(design, stream, monkeypatch):
+    golden = golden_run("hfs", design, stream)
+    site = GateSite(60, 0)
+    last = FaultSpec(site, FLIP, golden.cycles - 1, 1)
+    assert run_scenario("hfs", design, stream, last, golden)[0].kind \
+        == "masked"
+    late = FaultSpec(site, FLIP, golden.cycles, 1)
+    for traced in (False, True):
+        with pytest.raises(InvalidFaultError, match="never injected"):
+            run_scenario("hfs", design, stream, late, golden,
+                         collect_trace=traced)
+    # Only the earliest start counts: a later member may still fire.
+    run_scenario("hfs", design, stream,
+                 [FaultSpec(RegisterSite(2, 0, 0), FLIP, 8, 2), late], golden)
+
+    # A campaign rejects a late start before any scenario runs, whether
+    # or not its sample draws that start.
+    def run_scenario_(*args, **kwargs):
+        raise AssertionError("a scenario ran before the starts were checked")
+    monkeypatch.setattr(campaign, "run_scenario", run_scenario_)
+    cfg = CampaignConfig(scheme="original", stream=bytes(stream), sample=1,
+                         start_cycles=(0, golden.cycles + 100))
+    with pytest.raises(InvalidFaultError, match="never injected"):
+        run_campaign(design, cfg)
+
+
 def test_run_scenario_rejects_invalid_site(design):
     from sboxsim.faults import InvalidSiteError
     with pytest.raises(InvalidSiteError):
@@ -506,6 +544,20 @@ def test_correction_guarantee_holds_for_alternate_params():
     res = run_campaign(alt, cfg)
     assert res.counts["sdc"] == 0
     assert res.counts["detected_uncorrected"] == 0
+
+
+def test_correction_guarantee_holds_for_any_duration(design):
+    # The paper's claim covers transients of any duration: windows up to
+    # 64 cycles outlast the 5-stage pipeline's drain many times over.
+    cfg = CampaignConfig(scheme="hfs", fault_class="transient",
+                         durations=tuple(range(1, 65)), sample=300, seed=5)
+    specs = enumerate_scenarios(design, cfg)
+    assert max(s.duration for s in specs) > 4 * design.n_stages
+    assert {s.site.kind for s in specs} == {"gate", "register"}
+    res = run_campaign(design, cfg)
+    assert res.total == 300
+    assert res.guarantee_holds(), res.counts
+    assert res.counts["detected_corrected"] > 0
 
 
 @pytest.mark.parametrize("n_stages", [2, 3, 7])

@@ -161,6 +161,11 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     ["simulate", "--design", "hfs", "--count", "1000"],
     ["simulate", "--design", "hfs", "--fault-site", "du:1:5:9"],
     ["simulate", "--design", "hfs", "--fault-site", "gate:60:0:7"],
+    # A fault window that opens after the run has ended is never injected.
+    ["campaign", "--design", "original", "--fault", "transient",
+     "--sample", "20", "--starts", "100000"],
+    ["simulate", "--design", "hfs", "--fault-site", "gate:60",
+     "--fault-start", "100000"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch,
                                          capsys):

@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sboxsim.campaign import (CampaignConfig, enumerate_scenarios,
+                              run_campaign)
 from sboxsim.faults import FaultSet, FaultSpec, GateSite
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.netlist import (DEFAULT_COSTS, Gate, Netlist,
                              critical_path_delay, logic_depth)
-from sboxsim.pipeline import (PipelineDesign, TooManyStagesError,
-                              build_stage_programs, cut_pipeline,
-                              streaming_eval)
+from sboxsim.pipeline import (PipelineDesign, StageProgram,
+                              TooManyStagesError, build_stage_programs,
+                              cut_pipeline, streaming_eval)
 from sboxsim.synth import synth_sbox
 
 
@@ -217,8 +219,8 @@ def test_faulted_stage_variants_match_reference(design5):
     assert lanes_in[0] == design5.netlist.input_lanes
 
     def check(s, specs):
-        # Scalar variant against the reference, then lane mode against the
-        # scalar variant, bit for bit on all 256 inputs.
+        # The scalar masked body against the reference, then lane mode
+        # against scalar, bit for bit on all 256 inputs.
         p = programs[s]
         overrides = frozenset()
         if specs:
@@ -241,9 +243,35 @@ def test_faulted_stage_variants_match_reference(design5):
         for g in p.gates:
             for model in ("sa0", "sa1", "flip"):
                 check(s, [FaultSpec(GateSite(g.id), model, 0, 1)])
-        first, last = p.gates[0], p.gates[-1]
+        first, mid, last = p.gates[0], p.gates[len(p.gates) // 2], \
+            p.gates[-1]
         check(s, [FaultSpec(GateSite(first.id), "sa1", 0, 1),
                   FaultSpec(GateSite(last.id), "flip", 0, 1)])
+        # On one gate the later fault wins: the flip, not the stuck-at.
+        check(s, [FaultSpec(GateSite(mid.id), "sa0", 0, 1),
+                  FaultSpec(GateSite(mid.id), "flip", 0, 1)])
+        check(s, [FaultSpec(GateSite(g.id), model, 0, 1)
+                  for g, model in ((first, "sa0"), (mid, "flip"),
+                                   (last, "sa1"))])
+
+
+def test_faulted_stages_compile_nothing_per_fault(design5, monkeypatch):
+    # Each stage compiles its fault-free body and, on its first faulted
+    # call, one masked body that every gate fault shares.
+    calls = []
+    compile_stage = StageProgram._compile
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return compile_stage(self, *args, **kwargs)
+
+    monkeypatch.setattr(StageProgram, "_compile", counted)
+    cfg = CampaignConfig(scheme="hfs", site_kinds=("gate",), durations=(1,),
+                         sample=150, seed=7)
+    assert len({spec.site for spec in enumerate_scenarios(design5, cfg)}) \
+        >= 100
+    run_campaign(design5, cfg)
+    assert 0 < len(calls) <= 2 * design5.n_stages
 
 
 def test_design_json_roundtrip(design5):
