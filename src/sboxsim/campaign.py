@@ -1,7 +1,8 @@
 """Fault-injection campaigns: scenario execution, classification, aggregation.
 
 Each scenario runs one faulted simulation against a cached fault-free
-(golden) run of the same input stream and classifies the outcome:
+(golden) run of the same input stream, which evaluates each distinct
+stage input word once (StageProgram.clean), and classifies the outcome:
 
   * masked               - no detection, no stall, outputs identical
   * detected_corrected   - detection and/or stalls, outputs identical
@@ -224,7 +225,7 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
         """One replica's last-boundary lane words; None is fault-free."""
         words = design.netlist.input_lanes
         for s, p in enumerate(programs):
-            ov = replica is not None and fault.gate_overrides(0, s, replica)
+            ov = replica is not None and fault.gate_overrides(s, replica)
             words = p.lanes(words, ov or frozenset())
             if reg is not None and (s, replica) == (reg.stage, reg.replica):
                 # A stuck register bit, read by what follows.

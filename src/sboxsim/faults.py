@@ -295,12 +295,10 @@ class ActiveFault:
     # The hooks answer for the cycle last passed to active() and are only
     # consulted while it was true, so they skip the window check.
 
-    def gate_overrides(self, cycle: int, stage: int,
-                       replica: int) -> Optional[frozenset]:
+    def gate_overrides(self, stage: int, replica: int) -> Optional[frozenset]:
         return self._gates.get((stage, replica))
 
-    def transform_regs(self, cycle: int, replica: int,
-                       regs: list[int]) -> list[int]:
+    def transform_regs(self, replica: int, regs: list[int]) -> list[int]:
         out = regs
         for (r, b), (a, o, x) in self._regs.items():
             if r == replica and b < len(regs):
@@ -309,16 +307,15 @@ class ActiveFault:
                 out[b] = (out[b] & a | o) ^ x
         return out
 
-    def reg_read(self, cycle: int, replica: int, boundary: int,
-                 word: int) -> int:
+    def reg_read(self, replica: int, boundary: int, word: int) -> int:
         t = self._regs.get((replica, boundary))
         return word if t is None else (word & t[0] | t[1]) ^ t[2]
 
-    def du_apply(self, cycle: int, stage: int, err: bool) -> bool:
+    def du_apply(self, stage: int, err: bool) -> bool:
         t = self._du.get(stage)
         return err if t is None else bool((err & t[0] | t[1]) ^ t[2])
 
-    def latch_read(self, cycle: int, boundary: int, word: int) -> int:
+    def latch_read(self, boundary: int, word: int) -> int:
         t = self._latches.get(boundary)
         return word if t is None else (word & t[0] | t[1]) ^ t[2]
 

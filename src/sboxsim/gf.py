@@ -128,11 +128,6 @@ def _tower_mul_raw(a: int, b: int, lam: int, phi: int) -> int:
     return (rh << 4) | rl
 
 
-def gf256_tower_mul(a: int, b: int, params: "FieldParams") -> int:
-    """Multiply two tower-basis bytes (plumbing for tests and derivation)."""
-    return _tower_mul_raw(a & 0xFF, b & 0xFF, params.lam, params.phi)
-
-
 def gf256_tower_inv(x: TowerElem, params: "FieldParams") -> TowerElem:
     """Tower-field inverse of a GF(2^8) element, with 0 -> 0.
 
@@ -251,10 +246,6 @@ class FieldParams:
     @classmethod
     def from_json(cls, text: str) -> "FieldParams":
         return cls.from_json_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "FieldParams":

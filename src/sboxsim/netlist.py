@@ -258,11 +258,6 @@ class CostTable:
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
     def sha256(self) -> str:
         import hashlib      # on demand: loading OpenSSL adds ~3.5 MB RSS
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .netlist import (CostTable, DEFAULT_COSTS, GATES, Netlist,
                       critical_path_delay, logic_depth)
@@ -65,10 +65,6 @@ class PipelineDesign:
     def output_slots(self) -> tuple[int, ...]:
         last = self.cuts[-1]
         return tuple(last.index(o) for o in self.netlist.outputs)
-
-    def stage_of_signal(self, sig: int) -> int:
-        n_in = len(self.netlist.inputs)
-        return 0 if sig < n_in else self.stage_of_gate[sig - n_in]
 
     @cached_property
     def _outputs_in_order(self) -> bool:
@@ -300,7 +296,11 @@ _GATE_TRIPLES = {0: (0, 0, 0), 1: (0, 1, 0), "flip": (1, 0, 1)}
 class StageProgram:
     """Evaluation of one pipeline stage over packed boundary words.
 
-    fast(prev) is the fault-free compiled path.  interp(prev, overrides)
+    fast(prev) is the fault-free compiled path, and clean(prev) reads it
+    through a table that every fault-free machine on this program shares,
+    so each clean input word runs once.  A clean word of stage s is the
+    image of one input value or of one of the s reset words before it, so
+    the table holds at most 2**n_inputs + s entries.  interp(prev, overrides)
     evaluates with individual gate outputs forced; overrides is a
     frozenset of (gate id, 0 | 1 | "flip") pairs, as built by the fault
     overlay; every set runs the one masked body.  lanes(words, overrides)
@@ -333,6 +333,8 @@ class StageProgram:
         # bound (ROADMAP item 1).
         self._lane_variants: dict = {}
         self.fast = self._compile()
+        # fast is looked up on each miss, so a wrapped fast sees them all.
+        self.clean = cache(lambda prev: self.fast(prev))
 
     def _compile(self, overrides: frozenset = frozenset(),
                  lanes: bool = False, masked: bool = False):

@@ -42,7 +42,9 @@ for its own replica only, and never also clean for it, and every other
 stage is shared by the replicas that read the same word into it.  Both
 hfs replicas read (s0, vout), so a gate-faulted hfs cycle makes n
 fault-free stage evaluations and one faulted one; a tmr replica whose
-boundary word diverged still shares its other stages.
+boundary word diverged still shares its other stages.  A fault-free
+machine reads each stage from its table (StageProgram.clean), so its
+runs evaluate each distinct stage input word once, not once per cycle.
 With n stages, the output for the input accepted at cycle t is emitted
 at cycle t + n (plus any stalls in between).
 """
@@ -83,13 +85,17 @@ class _MachineBase:
         self.programs = programs if programs is not None else \
             build_stage_programs(design)
         self.fault = fault
+        # Each stage's evaluator when all replicas read one word: a
+        # fault-free machine reads the stage's table of clean results.
+        self._evals = ([p.fast for p in self.programs] if fault is not None
+                       else [p.clean for p in self.programs])
         self.n = design.n_stages
         self.cycle = 0
         self.consumed = 0
         self.emitted = 0
         self.stall_cycles = 0
 
-    def _advance(self, cyc: int, word: int, srcs, kinds) -> list:
+    def _advance(self, word: int, srcs, kinds) -> list:
         """Every replica's next register words, replica r reading
         srcs[r], with each distinct (stage, input word, overrides)
         evaluated once across replicas: a stage with overrides runs for
@@ -99,9 +105,9 @@ class _MachineBase:
         overrides = self.fault.gate_overrides if "gate" in kinds else None
         first = srcs[0]
         if overrides is None and srcs.count(first) == len(srcs):
-            # Every stage is shared, as in each golden-run cycle: one
+            # Every stage is shared, as in every fault-free cycle: one
             # pass, copied, with no per-stage bookkeeping.
-            regs = [p.fast(w) for p, w in zip(self.programs, (word, *first))]
+            regs = [ev(w) for ev, w in zip(self._evals, (word, *first))]
             out = [regs]
             while len(out) < len(srcs):
                 out.append(regs[:])
@@ -111,7 +117,7 @@ class _MachineBase:
             done = {}               # (input word, overrides) -> result
             for r, regs in enumerate(out):
                 key = (srcs[r][s - 1] if s else word,
-                       overrides and overrides(cyc, s, r))
+                       overrides and overrides(s, r))
                 v = done.get(key)
                 if v is None:
                     w, ov = key
@@ -119,11 +125,10 @@ class _MachineBase:
                 regs.append(v)
         return out
 
-    def _read_regs(self, cyc: int, regs: list[int], replica: int,
-                   kinds) -> list[int]:
+    def _read_regs(self, regs: list[int], replica: int, kinds) -> list[int]:
         if "register" not in kinds:
             return regs
-        return self.fault.transform_regs(cyc, replica, regs)
+        return self.fault.transform_regs(replica, regs)
 
 
 class PlainPipelineMachine(_MachineBase):
@@ -138,14 +143,13 @@ class PlainPipelineMachine(_MachineBase):
         cyc = self.cycle
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = self._read_regs(cyc, self.regs, 0, kinds)
+        reads = self._read_regs(self.regs, 0, kinds)
         out = None
         if self.valid[self.n - 1]:
             out = self.design.output_byte(reads[self.n - 1])
             self.emitted += 1
         accepted = inp is not None
-        self.regs = self._advance(cyc, inp if accepted else 0, (reads,),
-                                  kinds)[0]
+        self.regs = self._advance(inp if accepted else 0, (reads,), kinds)[0]
         self.valid = [accepted] + self.valid[:self.n - 1]
         if accepted:
             self.consumed += 1
@@ -189,18 +193,17 @@ class FcDmrMachine(_MachineBase):
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
 
-        reads_a = self._read_regs(cyc, self.regs_a, 0, kinds)
-        reads_b = self._read_regs(cyc, self.regs_b, 1, kinds)
+        reads_a = self._read_regs(self.regs_a, 0, kinds)
+        reads_b = self._read_regs(self.regs_b, 1, kinds)
         errs = [a != b for a, b in zip(reads_a, reads_b)]
         if "comparator" in kinds:
-            errs = [fault.du_apply(cyc, s, e) for s, e in enumerate(errs)]
+            errs = [fault.du_apply(s, e) for s, e in enumerate(errs)]
         g_err = True in errs
 
         if g_err:
             vout = self.latches
             if "voter_latch" in kinds:
-                vout = [fault.latch_read(cyc, s, w)
-                        for s, w in enumerate(vout)]
+                vout = [fault.latch_read(s, w) for s, w in enumerate(vout)]
             s0 = self.in_hold
             accepted = False
             out = None
@@ -214,8 +217,7 @@ class FcDmrMachine(_MachineBase):
         # Clock edge.  Registers always recapture; everything else is
         # gated by the global error.  Both replicas evaluate s0 and vout,
         # so they differ at most in a stage with gate overrides.
-        self.regs_a, self.regs_b = self._advance(cyc, s0, (vout, vout),
-                                                 kinds)
+        self.regs_a, self.regs_b = self._advance(s0, (vout, vout), kinds)
         if g_err:
             self.stall_cycles += 1
         else:
@@ -256,7 +258,7 @@ class TmrMachine(_MachineBase):
         n = self.n
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = [self._read_regs(cyc, self.regs[r], r, kinds)
+        reads = [self._read_regs(self.regs[r], r, kinds)
                  for r in range(self.REPLICAS)]
         out = None
         if self.valid[n - 1]:
@@ -265,7 +267,7 @@ class TmrMachine(_MachineBase):
             out = self.design.output_byte(voted)
             self.emitted += 1
         accepted = inp is not None
-        self.regs = self._advance(cyc, inp if accepted else 0, reads, kinds)
+        self.regs = self._advance(inp if accepted else 0, reads, kinds)
         self.valid = [accepted] + self.valid[:n - 1]
         if accepted:
             self.consumed += 1
@@ -295,10 +297,10 @@ class TtrMachine(_MachineBase):
         self.phase = 0          # 0 accepts a new input; 1, 2 replay it
         self.held: Optional[int] = None
 
-    def _buffer_read(self, cyc: int, row: int, kinds) -> int:
+    def _buffer_read(self, row: int, kinds) -> int:
         word = self.buffer[row]
         if "register" in kinds:
-            word = self.fault.reg_read(cyc, 0, self.n + row, word)
+            word = self.fault.reg_read(0, self.n + row, word)
         return word
 
     def step(self, inp: Optional[int]) -> StepRecord:
@@ -306,15 +308,15 @@ class TtrMachine(_MachineBase):
         n = self.n
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = self._read_regs(cyc, self.regs, 0, kinds)
+        reads = self._read_regs(self.regs, 0, kinds)
 
         out = None
         if self.valid[n - 1]:
             self.buffer.append(reads[n - 1])
             if len(self.buffer) == 3:
-                voted = majority3(self._buffer_read(cyc, 0, kinds),
-                                  self._buffer_read(cyc, 1, kinds),
-                                  self._buffer_read(cyc, 2, kinds))
+                voted = majority3(self._buffer_read(0, kinds),
+                                  self._buffer_read(1, kinds),
+                                  self._buffer_read(2, kinds))
                 out = self.design.output_byte(voted)
                 self.emitted += 1
                 self.buffer.clear()
@@ -326,8 +328,8 @@ class TtrMachine(_MachineBase):
                 accepted = True
                 self.consumed += 1
         feeding = self.held is not None
-        self.regs = self._advance(cyc, self.held if feeding else 0,
-                                  (reads,), kinds)[0]
+        self.regs = self._advance(self.held if feeding else 0, (reads,),
+                                  kinds)[0]
         self.valid = [feeding] + self.valid[:n - 1]
         self.phase = (self.phase + 1) % 3
         self.cycle += 1

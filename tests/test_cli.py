@@ -33,7 +33,7 @@ def test_verify_corrupted_params(tmp_path, capsys):
     bad = FieldParams(lam=DEFAULT_PARAMS.lam, phi=DEFAULT_PARAMS.phi,
                       delta=tuple(rows), delta_inv=DEFAULT_PARAMS.delta_inv)
     p = tmp_path / "bad.json"
-    bad.save(p)
+    p.write_text(bad.to_json())
     assert main(["verify", "--params", str(p)]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "0x" in out
@@ -348,7 +348,7 @@ def test_custom_cost_table_flows_through(tmp_path, capsys):
     costs = CostTable(entries=dict(DEFAULT_COSTS.entries),
                       register_bit_ge=5.0)
     p = tmp_path / "costs.json"
-    costs.save(p)
+    p.write_text(json.dumps(costs.to_json_dict()))
     assert main(["report", "--costs", str(p), "--format", "json",
                  "--output", str(tmp_path / "r.json")]) == 0
     doc = json.loads((tmp_path / "r.json").read_text())

@@ -103,41 +103,41 @@ def test_bound_fault_window(design):
 def test_register_overlay_models(design):
     base = FaultSpec(RegisterSite(1, 3, 0), "sa0", 0, 1)
     f = ActiveFault(base, design, "hfs")
-    assert f.reg_read(0, 0, 1, 0b1111) == 0b0111
-    assert f.reg_read(0, 1, 1, 0b1111) == 0b1111   # other replica untouched
-    assert f.reg_read(0, 0, 2, 0b1111) == 0b1111   # other boundary untouched
+    assert f.reg_read(0, 1, 0b1111) == 0b0111
+    assert f.reg_read(1, 1, 0b1111) == 0b1111   # other replica untouched
+    assert f.reg_read(0, 2, 0b1111) == 0b1111   # other boundary untouched
     f1 = ActiveFault(FaultSpec(RegisterSite(1, 3, 0), "sa1", 0, 1),
                      design, "hfs")
-    assert f1.reg_read(0, 0, 1, 0b0000) == 0b1000
+    assert f1.reg_read(0, 1, 0b0000) == 0b1000
     ff = ActiveFault(FaultSpec(RegisterSite(1, 3, 0), "flip", 0, 1),
                      design, "hfs")
-    assert ff.reg_read(0, 0, 1, 0b1000) == 0b0000
-    assert ff.reg_read(0, 0, 1, 0b0000) == 0b1000
+    assert ff.reg_read(0, 1, 0b1000) == 0b0000
+    assert ff.reg_read(0, 1, 0b0000) == 0b1000
 
 
 def test_transform_regs_touches_only_its_boundary(design):
     f = ActiveFault(FaultSpec(RegisterSite(1, 0, 0), "flip", 0, 1),
                     design, "hfs")
     regs = [0b1010] * design.n_stages
-    got = f.transform_regs(0, 0, regs)
+    got = f.transform_regs(0, regs)
     assert got[1] == 0b1011
     assert all(got[s] == 0b1010 for s in range(design.n_stages) if s != 1)
-    assert f.transform_regs(0, 1, regs) == regs
+    assert f.transform_regs(1, regs) == regs
 
 
 def test_comparator_overlay(design):
     f = ActiveFault(FaultSpec(ComparatorSite(2), "sa1", 0, 1), design, "hfs")
-    assert f.du_apply(0, 2, False) is True
-    assert f.du_apply(0, 1, False) is False
+    assert f.du_apply(2, False) is True
+    assert f.du_apply(1, False) is False
     f0 = ActiveFault(FaultSpec(ComparatorSite(2), "sa0", 0, 1), design, "hfs")
-    assert f0.du_apply(0, 2, True) is False
+    assert f0.du_apply(2, True) is False
 
 
 def test_voter_latch_overlay(design):
     f = ActiveFault(FaultSpec(VoterLatchSite(0, 2), "flip", 0, 1),
                     design, "hfs")
-    assert f.latch_read(0, 0, 0b000) == 0b100
-    assert f.latch_read(0, 1, 0b000) == 0b000
+    assert f.latch_read(0, 0b000) == 0b100
+    assert f.latch_read(1, 0b000) == 0b000
 
 
 def test_fault_set_composes_windows(design):
@@ -152,9 +152,9 @@ def test_fault_set_composes_windows(design):
     # At cycle 2 only the first member applies; at 5 only the second.
     # Hooks answer for the cycle last passed to active().
     fs.active(2)
-    assert fs.transform_regs(2, 0, [0] * 5)[1] == 0b01
+    assert fs.transform_regs(0, [0] * 5)[1] == 0b01
     fs.active(5)
-    assert fs.transform_regs(5, 0, [0] * 5)[1] == 0b10
+    assert fs.transform_regs(0, [0] * 5)[1] == 0b10
 
 
 def test_invalid_sites_rejected(design):
@@ -260,17 +260,17 @@ def test_fault_set_composes_like_its_members_one_by_one(design, first,
             return word
 
         for w in words:
-            assert fs.reg_read(cyc, 1, 1, w) == want("register", w)
-            assert fs.reg_read(cyc, 0, 1, w) == w
-            assert fs.reg_read(cyc, 1, 2, w) == w
-            assert fs.latch_read(cyc, 1, w) == want("voter_latch", w)
-            assert fs.latch_read(cyc, 0, w) == w
-        assert fs.transform_regs(cyc, 1, regs) == \
+            assert fs.reg_read(1, 1, w) == want("register", w)
+            assert fs.reg_read(0, 1, w) == w
+            assert fs.reg_read(1, 2, w) == w
+            assert fs.latch_read(1, w) == want("voter_latch", w)
+            assert fs.latch_read(0, w) == w
+        assert fs.transform_regs(1, regs) == \
             [want("register", w) if b == 1 else w for b, w in enumerate(regs)]
-        assert fs.transform_regs(cyc, 0, regs) == regs
+        assert fs.transform_regs(0, regs) == regs
         for err in (False, True):
-            assert fs.du_apply(cyc, 2, err) is bool(want("comparator", err))
-            assert fs.du_apply(cyc, 1, err) is err
+            assert fs.du_apply(2, err) is bool(want("comparator", err))
+            assert fs.du_apply(1, err) is err
 
 
 def test_fault_set_later_gate_fault_replaces_earlier(design):
@@ -292,7 +292,7 @@ def test_fault_set_later_gate_fault_replaces_earlier(design):
                 merged[spec.site.gate_id] = forced[spec.model]
         assert fs.active(cyc) == bool(merged)
         if merged:
-            assert fs.gate_overrides(cyc, stage, 1) == \
+            assert fs.gate_overrides(stage, 1) == \
                 frozenset(merged.items())
-            assert fs.gate_overrides(cyc, stage, 0) is None
-            assert fs.gate_overrides(cyc, stage + 1, 1) is None
+            assert fs.gate_overrides(stage, 0) is None
+            assert fs.gate_overrides(stage + 1, 1) is None

@@ -154,7 +154,7 @@ def test_cost_table_nand_unit_enforced():
 
 def test_cost_table_json_roundtrip(tmp_path):
     path = tmp_path / "costs.json"
-    DEFAULT_COSTS.save(path)
+    path.write_text(json.dumps(DEFAULT_COSTS.to_json_dict()))
     again = CostTable.load(path)
     assert again.entries == DEFAULT_COSTS.entries
     assert again.register_bit_ge == 4.0

@@ -25,6 +25,12 @@ def design5(sbox_netlist):
     return cut_pipeline(sbox_netlist, 5)
 
 
+def stage_of_signal(design: PipelineDesign, sig: int) -> int:
+    """The stage that produces sig; inputs count as stage 0."""
+    n_in = len(design.netlist.inputs)
+    return 0 if sig < n_in else design.stage_of_gate[sig - n_in]
+
+
 def chain_netlist(k: int) -> Netlist:
     gates = tuple(Gate(1 + i, "NAND2", (i, 0)) for i in range(k))
     return Netlist(inputs=(0,), outputs=(k,), gates=gates)
@@ -55,7 +61,7 @@ def test_stage_assignment_monotone_along_paths(design5):
     for g in nl.gates:
         s = design5.stage_of_gate[g.id - n_in]
         for f in g.fanin:
-            assert design5.stage_of_signal(f) <= s
+            assert stage_of_signal(design5, f) <= s
 
 
 def test_cuts_cover_every_crossing_signal(design5):
@@ -64,12 +70,12 @@ def test_cuts_cover_every_crossing_signal(design5):
     for g in nl.gates:
         s = design5.stage_of_gate[g.id - n_in]
         for f in g.fanin:
-            ps = design5.stage_of_signal(f)
+            ps = stage_of_signal(design5, f)
             for boundary in range(ps, s):
                 assert f in design5.cuts[boundary], (
                     f"signal {f} crosses boundary {boundary} unregistered")
     for o in nl.outputs:
-        ps = design5.stage_of_signal(o)
+        ps = stage_of_signal(design5, o)
         for boundary in range(ps, design5.n_stages):
             assert o in design5.cuts[boundary]
 
@@ -89,7 +95,7 @@ def test_cut_slot_removal_breaks_coverage(design5):
         consumers.setdefault(o, []).append(design5.n_stages)
     for boundary, cut in enumerate(design5.cuts):
         for sig in cut:
-            prod = design5.stage_of_signal(sig)
+            prod = stage_of_signal(design5, sig)
             assert prod <= boundary
             assert max(consumers[sig]) > boundary, (
                 f"slot {sig} in cut {boundary} never consumed later")
@@ -226,7 +232,7 @@ def test_faulted_stage_variants_match_reference(design5):
         if specs:
             fault = FaultSet.bind(specs, design5, "original")
             fault.active(0)
-            overrides = fault.gate_overrides(0, s, 0)
+            overrides = fault.gate_overrides(s, 0)
         forced = {spec.site.gate_id: FORCED_OUTPUT[spec.model]
                   for spec in specs}
         got = []

@@ -7,10 +7,11 @@ from collections import Counter
 import pytest
 
 from sboxsim import campaign
-from sboxsim.campaign import golden_run, run_scenario
-from sboxsim.faults import (REPLICAS, ActiveFault, ComparatorSite, FaultSet,
-                            FaultSpec, GateSite, PERMANENT, RegisterSite,
-                            VoterLatchSite)
+from sboxsim.campaign import (DEFAULT_SEED, CampaignConfig, default_stream,
+                              enumerate_scenarios, golden_run, run_scenario)
+from sboxsim.faults import (REPLICAS, SCHEMES, ActiveFault, ComparatorSite,
+                            FaultSet, FaultSpec, GateSite, PERMANENT,
+                            RegisterSite, VoterLatchSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import build_stage_programs, cut_pipeline
 from sboxsim.redundancy import (MACHINE_CLASSES, FcDmrMachine, TmrMachine,
@@ -319,21 +320,22 @@ class EveryHook:
 
 def reference_machine(scheme, design, fault):
     """The scheme's machine with every stage of every replica evaluated on
-    its own, under every fault hook: the per-replica loop the sharing rule
-    replaced."""
+    its own by fast or interp, under every fault hook: the per-replica
+    loop the sharing rule replaced.  With fault None it is fault-free and
+    calls fast for every stage on every cycle."""
     class Reference(MACHINE_CLASSES[scheme]):
-        def _advance(self, cyc, word, srcs, kinds):
+        def _advance(self, word, srcs, kinds):
             out = []
             for r, src in enumerate(srcs):
                 regs = []
                 for s, p in enumerate(self.programs):
                     w = src[s - 1] if s else word
-                    ov = kinds and self.fault.gate_overrides(cyc, s, r)
+                    ov = kinds and self.fault.gate_overrides(s, r)
                     regs.append(p.interp(w, ov) if ov else p.fast(w))
                 out.append(regs)
             return out
 
-    return Reference(design, EveryHook(fault))
+    return Reference(design, fault and EveryHook(fault))
 
 
 def bind(specs, design, scheme):
@@ -452,3 +454,75 @@ def test_single_replica_grids_evaluate_no_more_stages(design, scheme, most,
                         lambda d: counted_programs(d, calls))
     campaign.run_campaign(design, campaign.CampaignConfig(scheme=scheme))
     assert sum(calls.values()) <= most
+
+
+# ---------------------------------------------------------------------------
+# Fault-free stage tables
+# ---------------------------------------------------------------------------
+
+# The input stream of perfbench's late_fault_stream workload at seed 0.
+LATE_STREAM = random.Random(DEFAULT_SEED).randbytes(2048)
+GOLDEN_STREAMS = {"default": default_stream(), "late": LATE_STREAM,
+                  "one_byte": bytes([0x53]),
+                  "every_byte_twice": bytes(range(256)) * 2}
+
+
+@pytest.mark.parametrize("stream", GOLDEN_STREAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_golden_run_equals_stepped_run(design, scheme, stream, monkeypatch):
+    # The golden run reads its stages from the clean tables; the reference
+    # calls fast for every stage of every replica on every cycle.
+    got = golden_run(scheme, design, GOLDEN_STREAMS[stream])
+    monkeypatch.setattr(campaign, "make_machine",
+                        lambda scheme, design, fault, programs:
+                        reference_machine(scheme, design, fault))
+    want = golden_run(scheme, design, GOLDEN_STREAMS[stream])
+    assert got.cycles == want.cycles
+    assert got.outputs == want.outputs
+    assert got.emitted_at == want.emitted_at
+    assert got.states == want.states
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_golden_run_evaluates_each_clean_word_once(design, scheme,
+                                                   monkeypatch):
+    calls = Counter()
+    programs = build_stage_programs(design)
+    for s, p in enumerate(programs):
+        monkeypatch.setattr(p, "fast", lambda w, s=s, fn=p.fast:
+                            calls.update((s,)) or fn(w))
+    golden_run(scheme, design, LATE_STREAM, programs)
+    for s, p in enumerate(programs):
+        # A clean word of stage s comes from an input value or from one
+        # of the s reset words before it.
+        size = p.clean.cache_info().currsize
+        assert calls[s] == size <= p.n_lanes + s, (s, calls[s])
+
+
+@pytest.mark.parametrize("scheme,config", [
+    ("hfs", CampaignConfig(scheme="hfs", durations=(1, 3, 20),
+                           site_kinds=("gate", "register", "comparator",
+                                       "voter_latch"),
+                           start_cycles=(0, 40, 300), sample=60)),
+    ("tmr", CampaignConfig(scheme="tmr", fault_class="permanent",
+                           start_cycles=(0, 50, 300), sample=12)),
+    # One replica: a faulted register word reaches the shared stage pass.
+    ("original", CampaignConfig(scheme="original", durations=(1, 3),
+                                site_kinds=("register",), sample=30)),
+])
+def test_faulted_scenarios_leave_the_clean_tables_alone(design, scheme,
+                                                        config, monkeypatch):
+    # Faulted machines call fast and neither read nor fill a table: the
+    # tables' hit and miss counts stay as the golden run left them.
+    stream = default_stream()
+    programs = build_stage_programs(design)
+    golden = golden_run(scheme, design, stream, programs)
+    tables = [p.clean.cache_info() for p in programs]
+    calls = Counter()
+    for p in programs:
+        monkeypatch.setattr(p, "fast", lambda w, fn=p.fast:
+                            calls.update(("fast",)) or fn(w))
+    for spec in enumerate_scenarios(design, config):
+        run_scenario(scheme, design, stream, spec, golden, programs)
+    assert calls["fast"] > 0
+    assert [p.clean.cache_info() for p in programs] == tables
