@@ -41,6 +41,15 @@ out wrong, with that position's golden emission cycle, else masked, and
 never stalls.  The cycle-accurate machines remain the reference the tests
 compare it with on full permanent grids.
 
+Stage programs (compiled bodies, clean tables and lane variants; see
+StageProgram) depend on nothing but the design, so the first use of a
+design object builds them and keeps them on it (stage_programs), and every
+later campaign, golden run and scenario on that object reuses them: tmr
+and ttr campaigns that follow an original one on the same design compile
+nothing new, and their golden runs start from warm tables.  They are kept
+by object identity, never by value, and are not pickled: a worker process
+builds its own from the design it receives.
+
 Campaigns enumerate site x model x duration x start-cycle grids (or a
 seeded random sample), optionally across worker processes; aggregation
 is an order-independent merge, and re-running any campaign with the same
@@ -88,8 +97,20 @@ class GoldenRun:
     emitted_at: list       # the cycle of each output
 
 
+def stage_programs(design: PipelineDesign) -> list:
+    """The stage programs of this design object: built on its first use
+    and kept on it for every later campaign (see the module docstring).
+    An equal design built separately builds its own."""
+    programs = design.__dict__.get("_programs")
+    if programs is None:
+        programs = design.__dict__["_programs"] = build_stage_programs(design)
+    return programs
+
+
 def golden_run(scheme: str, design: PipelineDesign, stream,
                programs=None) -> GoldenRun:
+    if programs is None:
+        programs = stage_programs(design)
     m = make_machine(scheme, design, None, programs)
     stream = list(stream)
     outputs = []
@@ -134,6 +155,8 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     """
     if not isinstance(stream, (bytes, list)):
         stream = list(stream)
+    if programs is None:
+        programs = stage_programs(design)
     if golden is None:
         golden = golden_run(scheme, design, stream, programs)
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
@@ -206,7 +229,7 @@ _MAX_LANE_INPUTS = 16      # 65,536 lanes; wider inputs take the cycle loop
 
 def _classify_permanent(scheme: str, design: PipelineDesign, stream,
                         fault: ActiveFault, golden: GoldenRun,
-                        programs=None) -> Classification:
+                        programs: list) -> Classification:
     """Classify a permanent fault active from cycle 0 on a fixed-latency
     scheme with one bit-sliced pass of the faulty replica over every input
     value: each output is then a pure function of its input, so the set of
@@ -214,8 +237,6 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     votes three passes of its one replica, which agree, and a fault on one
     row of its result buffer is outvoted by the two clean rows, so its
     output is that replica's words, as for original."""
-    if programs is None:
-        programs = build_stage_programs(design)
     n_lanes = programs[0].n_lanes
     site = fault.spec.site
     reg = site if site.kind == "register" else None
@@ -436,15 +457,10 @@ def enumerate_scenarios(design: PipelineDesign,
 
 
 def _run_chunk(scheme, design, stream, specs, golden, programs=None) -> list:
-    # Worker processes build their own programs: compiled stage functions
-    # do not pickle.
-    if programs is None:
-        programs = build_stage_programs(design)
-    out = []
-    for spec in specs:
-        cls, _ = run_scenario(scheme, design, stream, spec, golden, programs)
-        out.append(cls)
-    return out
+    # A worker process receives the design without its programs (compiled
+    # stage functions do not pickle) and builds its own on first use.
+    return [run_scenario(scheme, design, stream, spec, golden, programs)[0]
+            for spec in specs]
 
 
 def run_campaign(design: PipelineDesign, config: CampaignConfig,
@@ -457,7 +473,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     """
     specs = enumerate_scenarios(design, config)
     stream = config.resolved_stream()
-    programs = build_stage_programs(design)
+    programs = stage_programs(design)
     golden = golden_run(config.scheme, design, stream, programs)
     _check_start(max(config.resolved_starts(design)), golden)
 

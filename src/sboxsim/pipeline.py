@@ -30,7 +30,7 @@ override set, and the tests check each against the scalar masked body.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 from .netlist import (CostTable, DEFAULT_COSTS, GATES, Netlist,
@@ -79,6 +79,12 @@ class PipelineDesign:
         for i, slot in enumerate(self.output_slots):
             out |= ((packed_last >> slot) & 1) << i
         return out
+
+    def __getstate__(self) -> dict:
+        # The fields only: what derives from them is rebuilt on use, and
+        # the stage programs a campaign keeps on a design hold compiled
+        # functions, which do not pickle.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,17 +302,20 @@ _GATE_TRIPLES = {0: (0, 0, 0), 1: (0, 1, 0), "flip": (1, 0, 1)}
 class StageProgram:
     """Evaluation of one pipeline stage over packed boundary words.
 
-    fast(prev) is the fault-free compiled path, and clean(prev) reads it
-    through a table that every fault-free machine on this program shares,
-    so each clean input word runs once.  A clean word of stage s is the
-    image of one input value or of one of the s reset words before it, so
-    the table holds at most 2**n_inputs + s entries.  interp(prev, overrides)
-    evaluates with individual gate outputs forced; overrides is a
-    frozenset of (gate id, 0 | 1 | "flip") pairs, as built by the fault
-    overlay; every set runs the one masked body.  lanes(words, overrides)
-    is the bit-sliced mode: words holds one int per boundary slot whose
-    bit x is that slot's value for input value x, and it returns the
-    captured slot words as a tuple.
+    Everything a program holds depends only on its design, and campaigns
+    build one list of programs per design object and reuse it
+    (campaign.stage_programs).  fast(prev) is the fault-free compiled
+    path, and clean(prev) reads it through a table that every fault-free
+    machine on this program shares, in every campaign on its design, so
+    each clean input word runs once per design.  A clean word of stage s
+    is the image of one input value or of one of the s reset words before
+    it, so the table holds at most 2**n_inputs + s entries.
+    interp(prev, overrides) evaluates with individual gate outputs forced;
+    overrides is a frozenset of (gate id, 0 | 1 | "flip") pairs, as built
+    by the fault overlay; every set runs the one masked body.
+    lanes(words, overrides) is the bit-sliced mode: words holds one int per
+    boundary slot whose bit x is that slot's value for input value x, and
+    it returns the captured slot words as a tuple.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -326,10 +335,11 @@ class StageProgram:
         self.n_lanes = 1 << n_in
         self._masked = None          # compiled on the first faulted call
         self._triples: dict = {}     # override set -> {gate id: triple}
-        # Lane mode still compiles one variant per override set.  Without
-        # those compiles perfbench's permanent_fixed_latency would run
-        # several times faster, and since perfbench's measure() keeps a
-        # float per timed scenario, its peak RSS would then pass its
+        # Lane mode still compiles one variant per override set, once per
+        # design: later campaigns on the design reuse the variants.
+        # Without those compiles perfbench's permanent_fixed_latency would
+        # run several times faster, and since perfbench's measure() keeps
+        # a float per timed scenario, its peak RSS would then pass its
         # bound (ROADMAP item 1).
         self._lane_variants: dict = {}
         self.fast = self._compile()

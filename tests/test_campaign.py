@@ -3,6 +3,7 @@ aggregation, file formats."""
 
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
 from sboxsim.faults import (FLIP, FaultSpec, GateSite, InvalidFaultError,
                             PERMANENT, RegisterSite, enumerate_sites)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
-from sboxsim.pipeline import build_stage_programs, cut_pipeline
+from sboxsim.pipeline import StageProgram, build_stage_programs, cut_pipeline
 from sboxsim.redundancy import make_machine
 from sboxsim.synth import synth_sbox
 
@@ -445,6 +446,86 @@ def test_campaign_csv_columns(design, tmp_path):
     assert lines[0] == "site,model,duration,start,classification,stalls"
     assert len(lines) == 9
     assert all(",perm," in line for line in lines[1:])
+
+
+def _files(result, path):
+    result.write_json(path.with_suffix(".json"))
+    result.write_csv(path.with_suffix(".csv"))
+    return (path.with_suffix(".json").read_bytes(),
+            path.with_suffix(".csv").read_bytes())
+
+
+def _counted_builds(monkeypatch):
+    """The designs campaign.build_stage_programs is called for, in order."""
+    builds = []
+    monkeypatch.setattr(campaign, "build_stage_programs",
+                        lambda d: builds.append(d) or build_stage_programs(d))
+    return builds
+
+
+def test_campaigns_on_one_design_share_its_programs_exactly(design, tmp_path,
+                                                            monkeypatch):
+    # Original, tmr and ttr permanent campaigns back to back on one design,
+    # as Acceptance 4 and perfbench's permanent_fixed_latency run them: the
+    # later ones reuse the first one's compiled bodies, lane variants and
+    # clean tables, and write the bytes each writes on a design of its own.
+    configs = [
+        CampaignConfig(scheme="original", fault_class="permanent"),
+        CampaignConfig(scheme="tmr", fault_class="permanent", sample=60),
+        CampaignConfig(scheme="ttr", fault_class="permanent",
+                       site_kinds=("gate",), sample=40),
+    ]
+    builds = _counted_builds(monkeypatch)
+    compiled = []           # per campaign: (stage gates, overrides, mode)
+    compile_stage = StageProgram._compile
+
+    def counted(self, overrides=frozenset(), lanes=False, masked=False):
+        compiled[-1].add((tuple(g.id for g in self.gates), overrides, lanes,
+                          masked))
+        return compile_stage(self, overrides, lanes, masked)
+    monkeypatch.setattr(StageProgram, "_compile", counted)
+
+    shared = cut_pipeline(design.netlist, design.n_stages)
+    together = []
+    for i, cfg in enumerate(configs):
+        compiled.append(set())
+        together.append(_files(run_campaign(shared, cfg),
+                               tmp_path / f"shared{i}"))
+    assert compiled[0]
+    assert not compiled[1] & compiled[0]
+    assert not compiled[2] & compiled[0]
+
+    fresh = []
+    for i, cfg in enumerate(configs):
+        # An equal but distinct design builds programs of its own.
+        fresh.append(cut_pipeline(design.netlist, design.n_stages))
+        assert fresh[-1] == shared and fresh[-1] is not shared
+        compiled.append(set())
+        assert _files(run_campaign(fresh[-1], cfg),
+                      tmp_path / f"fresh{i}") == together[i]
+        assert compiled[-1] & compiled[0]
+    assert len(builds) == 4
+    assert all(b is d for b, d in zip(builds, [shared, *fresh]))
+
+
+def test_workers_build_their_own_programs_after_the_cache_is_filled(
+        design, monkeypatch):
+    own = cut_pipeline(design.netlist, design.n_stages)
+    # Starts 0 and 7: the lane path and the cycle loop.
+    cfg = CampaignConfig(scheme="tmr", fault_class="permanent",
+                         start_cycles=(0, 7), sample=60, seed=5)
+    serial = run_campaign(own, cfg)
+    builds = _counted_builds(monkeypatch)
+    programs = campaign.stage_programs(own)
+    assert not builds
+    # The design pickles without its programs: the copy builds its own.
+    copy = pickle.loads(pickle.dumps(own))
+    assert copy == own
+    assert campaign.stage_programs(copy) is not programs
+    assert len(builds) == 1 and builds[0] is copy
+    parallel = run_campaign(own, dataclasses.replace(cfg, workers=2))
+    assert parallel.rows == serial.rows
+    assert campaign.stage_programs(own) is programs
 
 
 def test_fault_after_the_run_is_rejected(design, stream, monkeypatch):

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,15 @@ def _costs_with(kind, entry):
 def test_verify_default_params(capsys):
     assert main(["verify"]) == 0
     assert "all 256 bytes" in capsys.readouterr().out
+
+
+def test_python_m_sboxsim_runs_the_cli_from_a_source_tree():
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "sboxsim", "verify"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "all 256 bytes" in done.stdout
 
 
 def test_verify_corrupted_params(tmp_path, capsys):

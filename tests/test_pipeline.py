@@ -261,9 +261,11 @@ def test_faulted_stage_variants_match_reference(design5):
                                    (last, "sa1"))])
 
 
-def test_faulted_stages_compile_nothing_per_fault(design5, monkeypatch):
+def test_faulted_stages_compile_nothing_per_fault(sbox_netlist, monkeypatch):
     # Each stage compiles its fault-free body and, on its first faulted
-    # call, one masked body that every gate fault shares.
+    # call, one masked body that every gate fault shares.  A design of its
+    # own, whose programs no earlier campaign has built.
+    design5 = cut_pipeline(sbox_netlist, 5)
     calls = []
     compile_stage = StageProgram._compile
 

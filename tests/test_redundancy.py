@@ -448,12 +448,15 @@ def test_single_replica_grids_evaluate_no_more_stages(design, scheme, most,
                                                       monkeypatch):
     # Stage evaluations over the full transient grid, golden run included,
     # stay at or below the per-replica loop's count: a lone replica has
-    # nothing to share, and gains no evaluations either.
+    # nothing to share, and gains no evaluations either.  A design of its
+    # own: one whose programs an earlier campaign built reuses them, and
+    # would never call the counting builder.
+    own = cut_pipeline(design.netlist, design.n_stages)
     calls = Counter()
     monkeypatch.setattr(campaign, "build_stage_programs",
                         lambda d: counted_programs(d, calls))
-    campaign.run_campaign(design, campaign.CampaignConfig(scheme=scheme))
-    assert sum(calls.values()) <= most
+    campaign.run_campaign(own, campaign.CampaignConfig(scheme=scheme))
+    assert 0 < sum(calls.values()) <= most
 
 
 # ---------------------------------------------------------------------------
