@@ -478,9 +478,9 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     _check_start(max(config.resolved_starts(design)), golden)
 
     classifications: list[Classification]
-    if config.workers > 1:
+    nw = min(config.workers, len(specs))
+    if nw > 1:
         from concurrent.futures import ProcessPoolExecutor
-        nw = config.workers
         chunks = [specs[i::nw] for i in range(nw)]
         with ProcessPoolExecutor(max_workers=nw) as pool:
             futures = [pool.submit(_run_chunk, config.scheme, design, stream,

@@ -20,7 +20,7 @@ from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
                        FAULT_CLASSES, run_campaign, run_scenario,
                        DEFAULT_SEED)
 from .faults import (FaultSpec, InvalidFaultError, InvalidSiteError,
-                     PERMANENT, SITE_KINDS, parse_site)
+                     MODELS, PERMANENT, SCHEMES, SITE_KINDS, parse_site)
 from .gf import DEFAULT_PARAMS, FieldParams, sbox_composite, sbox_reference
 from .metrics import build_metrics, render_table
 from .netlist import CostTable, DEFAULT_COSTS
@@ -317,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="cycle-accurate run with an optional injected "
                             "fault")
-    p.add_argument("--design", required=True,
-                   choices=("original", "hfs", "tmr", "ttr"))
+    p.add_argument("--design", required=True, choices=SCHEMES)
     p.add_argument("--input-hex", help="explicit input bytes as hex")
     p.add_argument("--input-file",
                    help="test-vector file, one hex byte per line")
@@ -327,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-site",
                    help="gate:ID[:REPLICA] | reg:STAGE:BIT[:REPLICA] | "
                         "du:STAGE | voter:STAGE:BIT")
-    p.add_argument("--fault-model", choices=("sa0", "sa1", "flip"),
-                   default="flip")
+    p.add_argument("--fault-model", choices=MODELS, default="flip")
     p.add_argument("--fault-start", type=int, default=0)
     p.add_argument("--fault-duration", default="1",
                    help="cycle count or 'perm'")
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", parents=[common],
                        help="fault-injection campaign with guarantee "
                             "checking")
-    p.add_argument("--design", choices=("original", "hfs", "tmr", "ttr"))
+    p.add_argument("--design", choices=SCHEMES)
     p.add_argument("--fault", choices=FAULT_CLASSES)
     p.add_argument("--config", help="campaign config JSON (replaces the "
                                     "selection flags)")

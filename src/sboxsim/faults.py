@@ -19,17 +19,20 @@ as the stage logic evaluates, a faulted register or latch bit is
 transformed whenever the machine samples the word.  Stored values are
 left untouched, so a fault's effect ends with its window.
 
-Binding a spec to a design and scheme (ActiveFault) checks its site and
-turns it into a table for its site kind: gate override sets per (stage,
-replica), and (and, or, xor) mask triples per register (replica,
-boundary), per comparator stage (on bit 0) and per voter-latch boundary.
-A masked read is (word & and | or) ^ xor, so stuck-at-0 on the bits m is
-(~m, 0, 0), stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).  The five
-hooks the machines call are lookups in these tables, and a FaultSet
-merges its active members' tables into its own: a later gate fault
-replaces an earlier one on the same gate, and triples on one word compose
-in list order.  Hooks answer for the cycle last passed to active(), which
-the machines call first in every cycle.
+A site exists in a design and scheme when enumerate_sites lists it;
+nothing else says which sites exist.  Binding a spec to a design and
+scheme (ActiveFault) looks its site up there and turns it into a table
+for its site kind.  Every table entry is one (and, or, xor) mask triple,
+read as (word & and | or) ^ xor: stuck-at-0 on the bits m is (~m, 0, 0),
+stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).  Gate tables hold
+override sets of (gate id, triple on bit 0) per (stage, replica);
+register tables a triple per (replica, boundary), comparator tables one
+per stage (on bit 0), and latch tables one per voter-latch boundary.
+The five hooks the machines call are lookups in these tables, and a
+FaultSet merges its active members' tables into its own: a later gate
+fault replaces an earlier one on the same gate, and triples on one word
+compose in list order.  Hooks answer for the cycle last passed to
+active(), which the machines call first in every cycle.
 """
 
 from __future__ import annotations
@@ -149,10 +152,6 @@ class FaultSpec:
         return f"{self.site}:{self.model}:@{self.start_cycle}+{dur}"
 
 
-def _buffer_rows(scheme: str) -> int:
-    return 3 if scheme == "ttr" else 0
-
-
 def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
     """Complete, duplicate-free, deterministic fault-site list.
 
@@ -171,7 +170,7 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
         for stage, w in enumerate(widths):
             for bit in range(w):
                 sites.append(RegisterSite(stage, bit, replica))
-        for row in range(_buffer_rows(scheme)):
+        for row in range(3 if scheme == "ttr" else 0):   # result buffer
             for bit in range(len(design.netlist.outputs)):
                 sites.append(RegisterSite(design.n_stages + row, bit, replica))
     if scheme == "hfs":
@@ -183,7 +182,15 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
     return sites
 
 
-_FORCED = {STUCK0: 0, STUCK1: 1, FLIP: "flip"}   # a faulted gate's output
+def _site_set(design: PipelineDesign, scheme: str) -> frozenset:
+    """enumerate_sites as a set, built on first use and kept on the design
+    object, as campaign.stage_programs keeps its programs there."""
+    key = f"_sites_{scheme}"
+    sites = design.__dict__.get(key)
+    if sites is None:
+        sites = design.__dict__[key] = frozenset(
+            enumerate_sites(design, scheme))
+    return sites
 
 
 def _triple(model: str, mask: int) -> tuple:
@@ -232,58 +239,25 @@ class ActiveFault:
     _gates = _regs = _du = _latches = {}
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
-        if scheme not in SCHEMES:
-            raise InvalidSiteError(f"unknown scheme {scheme!r}")
+        site = spec.site
+        if site not in _site_set(design, scheme):
+            raise InvalidSiteError(f"no site {site} in the {scheme} design")
         self.spec = spec
         self.start = spec.start_cycle
         self.end = (None if spec.duration is PERMANENT
                     else spec.start_cycle + spec.duration)
-        site = spec.site
-        n_in = len(design.netlist.inputs)
-        widths = [len(c) for c in design.cuts]
-
-        if isinstance(site, GateSite):
-            if not (n_in <= site.gate_id < design.netlist.signal_count):
-                raise InvalidSiteError(f"no gate {site.gate_id} in design")
-            if not (0 <= site.replica < REPLICAS[scheme]):
-                raise InvalidSiteError(
-                    f"replica {site.replica} out of range for {scheme}")
-            stage = design.stage_of_gate[site.gate_id - n_in]
-            self._gates = {(stage, site.replica): frozenset(
-                {(site.gate_id, _FORCED[spec.model])})}
-        elif isinstance(site, RegisterSite):
-            max_stage = design.n_stages + _buffer_rows(scheme)
-            if not (0 <= site.stage < max_stage):
-                raise InvalidSiteError(f"no register stage {site.stage}")
-            width = (widths[site.stage] if site.stage < design.n_stages
-                     else len(design.netlist.outputs))
-            if not (0 <= site.bit < width):
-                raise InvalidSiteError(
-                    f"stage {site.stage} has no bit {site.bit}")
-            if not (0 <= site.replica < REPLICAS[scheme]):
-                raise InvalidSiteError(
-                    f"replica {site.replica} out of range for {scheme}")
-            self._regs = {(site.replica, site.stage):
-                          _triple(spec.model, 1 << site.bit)}
-        elif isinstance(site, ComparatorSite):
-            if scheme != "hfs":
-                raise InvalidSiteError("comparators exist only in the "
-                                       "duplicated-pipeline scheme")
-            if not (0 <= site.stage < design.n_stages):
-                raise InvalidSiteError(f"no comparator for stage {site.stage}")
-            self._du = {site.stage: _triple(spec.model, 1)}
-        elif isinstance(site, VoterLatchSite):
-            if scheme != "hfs":
-                raise InvalidSiteError("voter latches exist only in the "
-                                       "duplicated-pipeline scheme")
-            if not (0 <= site.stage < design.n_stages):
-                raise InvalidSiteError(f"no voter for stage {site.stage}")
-            if not (0 <= site.bit < widths[site.stage]):
-                raise InvalidSiteError(
-                    f"voter {site.stage} has no bit {site.bit}")
-            self._latches = {site.stage: _triple(spec.model, 1 << site.bit)}
+        t = _triple(spec.model, 1 << getattr(site, "bit", 0))
+        if site.kind == "gate":
+            stage = design.stage_of_gate[site.gate_id
+                                         - len(design.netlist.inputs)]
+            self._gates = {(stage, site.replica):
+                           frozenset({(site.gate_id, t)})}
+        elif site.kind == "register":
+            self._regs = {(site.replica, site.stage): t}
+        elif site.kind == "comparator":
+            self._du = {site.stage: t}
         else:
-            raise InvalidSiteError(f"unrecognized site {site!r}")
+            self._latches = {site.stage: t}
         self.kinds = frozenset((site.kind,))
 
     def active(self, cycle: int) -> bool:

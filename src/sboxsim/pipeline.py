@@ -14,17 +14,19 @@ A stage evaluated while a gate fault is active runs the stage's one
 masked body, compiled by the same generator on its first faulted call:
 each gate found in a dict of (and, or, xor) triples is read through its
 triple (the good machine plus a fault mask, as in concurrent fault
-simulation), and each override set becomes such a dict once, so no fault
-compiles anything.  The test suite checks single-gate faults and gate
-sets against an independent reference evaluator.
+simulation).  The fault overlay's override sets are (gate id, triple)
+pairs, so each set becomes such a dict once, and no fault compiles
+anything.  The test suite checks single-gate faults and gate sets
+against an independent reference evaluator.
 
 The same generator also emits a lane mode for bit-sliced evaluation: the
 stage reads and returns a tuple of slot words, bit x of each word being
 that slot's value for input value x, so one call evaluates the stage for
 every input value (2**n_inputs lanes; 256 for the S-box).  The all-ones
 lane mask stands in for the gate table's constant one, and a forced gate
-becomes 0 or the mask.  Lane variants are compiled and cached per
-override set, and the tests check each against the scalar masked body.
+is read through its triple with each mask widened from bit 0 to 0 or the
+lane mask.  Lane variants are compiled and cached per override set, and
+the tests check each against the scalar masked body.
 """
 
 from __future__ import annotations
@@ -294,11 +296,6 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
 # Per-stage evaluation programs
 # ---------------------------------------------------------------------------
 
-# A faulted gate's (and, or, xor) triple on its 0/1 scalar value, by
-# what the override forces it to.
-_GATE_TRIPLES = {0: (0, 0, 0), 1: (0, 1, 0), "flip": (1, 0, 1)}
-
-
 class StageProgram:
     """Evaluation of one pipeline stage over packed boundary words.
 
@@ -311,8 +308,9 @@ class StageProgram:
     is the image of one input value or of one of the s reset words before
     it, so the table holds at most 2**n_inputs + s entries.
     interp(prev, overrides) evaluates with individual gate outputs forced;
-    overrides is a frozenset of (gate id, 0 | 1 | "flip") pairs, as built
-    by the fault overlay; every set runs the one masked body.
+    overrides is a frozenset of (gate id, (and, or, xor) triple) pairs, as
+    built by the fault overlay, each triple read on the gate's bit 0;
+    every set runs the one masked body.
     lanes(words, overrides) is the bit-sliced mode: words holds one int per
     boundary slot whose bit x is that slot's value for input value x, and
     it returns the captured slot words as a tuple.
@@ -350,7 +348,8 @@ class StageProgram:
                  lanes: bool = False, masked: bool = False):
         """One stage as Python source: packed bits in and out, or, with
         lanes, a tuple of slot words in and out where the lane mask m
-        stands for the constant one.  The gates in overrides are forced.
+        stands for the constant one.  Each gate in overrides is read
+        through its triple, each mask cut to 0 or the one by its bit 0.
         The masked body takes a second argument F, a dict from gate id to
         an (and, or, xor) triple, and reads each gate in F as
         (value & and | or) ^ xor."""
@@ -367,8 +366,8 @@ class StageProgram:
                                            one=one)
             ov = forced.get(g.id)
             if ov is not None:
-                expr = (f"{one} ^ ({expr})" if ov == "flip"
-                        else one if ov == 1 else "0")
+                a, o, x = (one if v & 1 else "0" for v in ov)
+                expr = f"(({expr}) & {a} | {o}) ^ {x}"
             lines.append(f"    s{g.id} = {expr}")
             if masked:
                 lines += [f"    if {g.id} in F:",
@@ -393,8 +392,7 @@ class StageProgram:
         if triples is None:
             if self._masked is None:
                 self._masked = self._compile(masked=True)
-            triples = self._triples[overrides] = {
-                g: _GATE_TRIPLES[v] for g, v in overrides}
+            triples = self._triples[overrides] = dict(overrides)
         return self._masked(prev, triples)
 
     def lanes(self, words: tuple, overrides: frozenset) -> tuple:

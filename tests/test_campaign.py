@@ -1,6 +1,7 @@
 """Campaign machinery: classification rules, caching, determinism,
 aggregation, file formats."""
 
+import concurrent.futures
 import dataclasses
 import json
 import pickle
@@ -407,6 +408,47 @@ def test_campaign_deterministic_across_runs_and_workers(design):
     c = run_campaign(design, cfg2)
     assert a.rows == b.rows == c.rows
     assert a.counts == b.counts == c.counts
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs each task at submit and
+    records the pool size and the number of submits."""
+
+    def __init__(self, pools, max_workers):
+        self.max_workers, self.submits = max_workers, 0
+        pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_campaign_asks_no_more_workers_than_scenarios(design, monkeypatch,
+                                                      workers):
+    # Three scenarios: a pool of min(workers, 3) processes, one chunk each,
+    # and none at all for one worker; the rows never change.
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(pools,
+                                                           max_workers))
+    cfg = CampaignConfig(scheme="hfs", fault_class="transient", sample=3,
+                         seed=5)
+    serial = run_campaign(design, cfg)
+    assert not pools
+    res = run_campaign(design, dataclasses.replace(cfg, workers=workers))
+    nw = min(workers, 3)
+    assert [(p.max_workers, p.submits) for p in pools] == \
+        ([(nw, nw)] if nw > 1 else [])
+    assert res.rows == serial.rows
 
 
 def test_campaign_files_byte_identical(design, tmp_path):

@@ -6,11 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sboxsim.faults import (FLIP, MODELS, SCHEMES, SITE_KINDS, ActiveFault,
-                            ComparatorSite, FaultSet, FaultSpec, GateSite,
-                            InvalidFaultError, InvalidSiteError, PERMANENT,
-                            RegisterSite, VoterLatchSite, enumerate_sites,
-                            parse_site)
+from sboxsim.faults import (FLIP, MODELS, REPLICAS, SCHEMES, SITE_KINDS,
+                            ActiveFault, ComparatorSite, FaultSet, FaultSpec,
+                            GateSite, InvalidFaultError, InvalidSiteError,
+                            PERMANENT, RegisterSite, VoterLatchSite,
+                            enumerate_sites, parse_site)
 from sboxsim.gf import DEFAULT_PARAMS
 from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import synth_sbox
@@ -175,6 +175,34 @@ def test_invalid_sites_rejected(design):
             ActiveFault(spec, design, scheme)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bind_accepts_exactly_the_enumerated_sites(design, scheme):
+    # A box of candidate sites one past every bound of every kind, and a
+    # gate id of the wrong type: binding accepts exactly the enumerated
+    # sites and rejects every other one as a site error.
+    nl = design.netlist
+    n, width = design.n_stages, max(len(c) for c in design.cuts)
+    replicas = range(REPLICAS[scheme] + 1)
+    box = [GateSite(g, r) for g in range(len(nl.inputs) - 1,
+                                         nl.signal_count + 1)
+           for r in replicas]
+    box += [RegisterSite(s, b, r) for s in range(n + 4)
+            for b in range(width + 1) for r in replicas]
+    box += [ComparatorSite(s) for s in range(n + 1)]
+    box += [VoterLatchSite(s, b) for s in range(n + 1)
+            for b in range(width + 1)]
+    box.append(GateSite("60", 0))
+    sites = set(enumerate_sites(design, scheme))
+    assert sites < set(box)
+    for site in box:
+        spec = FaultSpec(site, "flip", 0, 1)
+        if site in sites:
+            assert ActiveFault(spec, design, scheme).kinds == {site.kind}
+        else:
+            with pytest.raises(InvalidSiteError):
+                ActiveFault(spec, design, scheme)
+
+
 def test_ttr_buffer_sites_valid_only_for_ttr(design):
     spec = FaultSpec(RegisterSite(design.n_stages + 2, 7, 0), "flip", 0, 1)
     ActiveFault(spec, design, "ttr")
@@ -284,15 +312,20 @@ def test_fault_set_later_gate_fault_replaces_earlier(design):
              FaultSpec(GateSite(h, 1), "flip", 3, 2),
              FaultSpec(GateSite(g, 1), "sa1", 4, 4)]
     fs = FaultSet.bind(specs, design, "hfs")
-    forced = {"sa0": 0, "sa1": 1, "flip": "flip"}
     for cyc in range(10):
         merged = {}
         for spec in specs:
             if spec.start_cycle <= cyc < spec.start_cycle + spec.duration:
-                merged[spec.site.gate_id] = forced[spec.model]
+                merged[spec.site.gate_id] = spec.model
         assert fs.active(cyc) == bool(merged)
         if merged:
-            assert fs.gate_overrides(stage, 1) == \
-                frozenset(merged.items())
+            # Each override is a (gate id, triple) pair whose read of the
+            # gate's value, 0 or 1, is the winning model's.
+            ov = fs.gate_overrides(stage, 1)
+            assert len(ov) == len(merged)
+            assert {g: tuple((v & a | o) ^ x for v in (0, 1))
+                    for g, (a, o, x) in ov} == \
+                {g: tuple(_read(model, v, 1) for v in (0, 1))
+                 for g, model in merged.items()}
             assert fs.gate_overrides(stage, 0) is None
             assert fs.gate_overrides(stage + 1, 1) is None
