@@ -65,9 +65,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .faults import (PERMANENT, REPLICAS, SITE_KINDS, STUCK0, STUCK1, FLIP,
-                     ActiveFault, FaultSet, FaultSpec, InvalidFaultError,
-                     enumerate_sites)
+from .faults import (MODELS, PERMANENT, REPLICAS, SITE_KINDS, STUCK0,
+                     STUCK1, FLIP, ActiveFault, FaultSet, FaultSpec,
+                     InvalidFaultError, enumerate_sites)
 from .pipeline import PipelineDesign, build_stage_programs
 from .redundancy import feed, majority3, make_machine
 
@@ -282,6 +282,10 @@ def _first_mismatch(got, want) -> Optional[int]:
 FAULT_CLASSES = ("transient", "permanent")
 DEFAULT_DURATIONS = (1, 2, 5, 10)
 DEFAULT_SEED = 0x5B0C
+# The fields a config file holds besides its stream, which it holds as
+# "stream_hex"; workers never changes a result, so no file records it.
+_JSON_FIELDS = ("scheme", "fault_class", "durations", "models", "site_kinds",
+                "start_cycles", "sample", "seed")
 
 
 def default_stream(seed: int = DEFAULT_SEED) -> bytes:
@@ -311,15 +315,17 @@ class CampaignConfig:
         if self.sample is not None and type(self.sample) is not int:
             raise ValueError(f"sample must be an integer or null, "
                              f"got {self.sample!r}")
-        for name in ("durations", "start_cycles"):
-            values = getattr(self, name) or ()
+        for name, values in (("durations", self.durations),
+                             ("start_cycles", self.start_cycles or ())):
             if any(type(v) is not int for v in values):
                 raise ValueError(f"{name} must be integers, got "
                                  f"{list(values)!r}")
-        unknown = [k for k in self.site_kinds if k not in SITE_KINDS]
-        if unknown:
-            raise ValueError(f"unknown site kind {unknown[0]!r}; expected "
-                             f"one of {', '.join(SITE_KINDS)}")
+        for name, values, known in (("site kind", self.site_kinds, SITE_KINDS),
+                                    ("fault model", self.models or (), MODELS)):
+            unknown = [k for k in values if k not in known]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown[0]!r}; expected "
+                                 f"one of {', '.join(known)}")
         if self.stream is not None and not self.stream:
             raise ValueError("stream must not be empty")
         if type(self.seed) is not int:
@@ -344,37 +350,22 @@ class CampaignConfig:
         return self.stream if self.stream is not None else default_stream(self.seed)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "scheme": self.scheme,
-            "fault_class": self.fault_class,
-            "durations": list(self.durations),
-            "models": list(self.models) if self.models is not None else None,
-            "site_kinds": list(self.site_kinds),
-            "start_cycles": (list(self.start_cycles)
-                             if self.start_cycles is not None else None),
-            "sample": self.sample,
-            "seed": self.seed,
-        }
+        values = {k: getattr(self, k) for k in _JSON_FIELDS}
+        doc = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in values.items()}
         if self.stream is not None:
             doc["stream_hex"] = self.stream.hex()
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CampaignConfig":
-        return cls(
-            scheme=doc["scheme"],
-            fault_class=doc.get("fault_class", "transient"),
-            durations=tuple(doc.get("durations", DEFAULT_DURATIONS)),
-            models=(tuple(doc["models"])
-                    if doc.get("models") is not None else None),
-            site_kinds=tuple(doc.get("site_kinds", ("gate", "register"))),
-            start_cycles=(tuple(doc["start_cycles"])
-                          if doc.get("start_cycles") is not None else None),
-            stream=(bytes.fromhex(doc["stream_hex"])
-                    if "stream_hex" in doc else None),
-            sample=doc.get("sample"),
-            seed=doc.get("seed", DEFAULT_SEED),
-        )
+        """A config from its file document; a field the file leaves out
+        takes its default."""
+        fields = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in doc.items() if k in _JSON_FIELDS}
+        if "stream_hex" in doc:
+            fields["stream"] = bytes.fromhex(doc["stream_hex"])
+        return cls(**fields)
 
 
 @dataclass

@@ -61,11 +61,22 @@ class InvalidFaultError(ValueError):
     """A fault specification with an unknown model or a bad cycle window."""
 
 
+def _check_ints(site) -> None:
+    """Every site field is a plain int: a float or bool equal to one
+    would look up as that site, yet print as itself and index nothing."""
+    for name in site.__slots__:
+        value = getattr(site, name)
+        if type(value) is not int:
+            raise InvalidSiteError(f"{type(site).__name__}.{name} must be "
+                                   f"an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class GateSite:
     gate_id: int
     replica: int = 0
     kind = "gate"
+    __post_init__ = _check_ints
 
     def __str__(self):
         return f"gate:{self.gate_id}:r{self.replica}"
@@ -77,6 +88,7 @@ class RegisterSite:
     bit: int
     replica: int = 0
     kind = "register"
+    __post_init__ = _check_ints
 
     def __str__(self):
         return f"reg:{self.stage}:{self.bit}:r{self.replica}"
@@ -86,6 +98,7 @@ class RegisterSite:
 class ComparatorSite:
     stage: int
     kind = "comparator"
+    __post_init__ = _check_ints
 
     def __str__(self):
         return f"du:{self.stage}"
@@ -96,6 +109,7 @@ class VoterLatchSite:
     stage: int
     bit: int
     kind = "voter_latch"
+    __post_init__ = _check_ints
 
     def __str__(self):
         return f"voter:{self.stage}:{self.bit}"

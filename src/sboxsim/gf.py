@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 
@@ -60,48 +61,47 @@ def gf4_inv(a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF((2^2)^2): 4-bit elements, polynomial y^2 + y + phi
+# The two extension levels, each F[t] / (t^2 + t + c) over the level below:
+# GF((2^2)^2) = GF(2^2)[y] with c = phi, 4-bit elements, and the tower
+# GF(((2^2)^2)^2) = GF((2^2)^2)[z] with c = lam, bytes
 # ---------------------------------------------------------------------------
 
 
-def _gf16_mul_raw(a: int, b: int, phi: int) -> int:
-    ah, al = (a >> 2) & 0x3, a & 0x3
-    bh, bl = (b >> 2) & 0x3, b & 0x3
-    hh = gf4_mul(ah, bh)
-    rh = hh ^ gf4_mul(ah, bl) ^ gf4_mul(al, bh)
-    rl = gf4_mul(phi, hh) ^ gf4_mul(al, bl)
-    return (rh << 2) | rl
+def _ext_mul(half: int, c: int, mul, a: int, b: int) -> int:
+    """Product in F[t]/(t^2 + t + c), F the half-bit subfield with product
+    mul: t^2 = t + c, so the high half is ah*bh + ah*bl + al*bh and the low
+    half c*ah*bh + al*bl."""
+    m = (1 << half) - 1
+    ah, al, bh, bl = a >> half & m, a & m, b >> half & m, b & m
+    hh = mul(ah, bh)
+    return ((hh ^ mul(ah, bl) ^ mul(al, bh)) << half
+            | mul(c, hh) ^ mul(al, bl))
 
 
-def _gf16_inv_raw(a: int, phi: int) -> int:
-    # Mirrors the tower-level formula one level down:
-    #   delta = (ah + al)*al + phi*ah^2,  inv = (delta^-1*ah)*y + delta^-1*(ah + al)
-    ah, al = (a >> 2) & 0x3, a & 0x3
+def _ext_inv(half: int, c: int, mul, inv, a: int) -> int:
+    """Inverse in F[t]/(t^2 + t + c), with 0 -> 0, over the subfield's
+    product mul and inverse inv: with d = (ah + al)*al + c*ah^2, it is
+    (d^-1*ah)*t + d^-1*(ah + al)."""
+    m = (1 << half) - 1
+    ah, al = a >> half & m, a & m
     s = ah ^ al
-    delta = gf4_mul(s, al) ^ gf4_mul(phi, gf4_mul(ah, ah))
-    dinv = gf4_inv(delta)
-    return (gf4_mul(dinv, ah) << 2) | gf4_mul(dinv, s)
+    dinv = inv(mul(s, al) ^ mul(c, mul(ah, ah)))
+    return mul(dinv, ah) << half | mul(dinv, s)
 
 
 def gf16_mul(a: int, b: int, params: "FieldParams") -> int:
     """Multiply 4-bit tower elements modulo y^2 + y + phi."""
-    return _gf16_mul_raw(a & 0xF, b & 0xF, params.phi)
+    return _ext_mul(2, params.phi, gf4_mul, a, b)
 
 
 def gf16_inv(a: int, params: "FieldParams") -> int:
     """Inverse of a 4-bit tower element, with 0 -> 0."""
-    return _gf16_inv_raw(a & 0xF, params.phi)
+    return _ext_inv(2, params.phi, gf4_mul, gf4_inv, a)
 
 
 def gf16_square_scale(a: int, params: "FieldParams") -> int:
     """Compute lam * a^2, the scaled Frobenius map (GF(2)-linear in a)."""
-    a &= 0xF
-    return _gf16_mul_raw(_gf16_mul_raw(a, a, params.phi), params.lam, params.phi)
-
-
-# ---------------------------------------------------------------------------
-# GF(((2^2)^2)^2): tower bytes, polynomial z^2 + z + lam
-# ---------------------------------------------------------------------------
+    return gf16_mul(gf16_mul(a, a, params), params.lam, params)
 
 
 class TowerElem(NamedTuple):
@@ -120,12 +120,7 @@ class TowerElem(NamedTuple):
 
 
 def _tower_mul_raw(a: int, b: int, lam: int, phi: int) -> int:
-    ah, al = (a >> 4) & 0xF, a & 0xF
-    bh, bl = (b >> 4) & 0xF, b & 0xF
-    hh = _gf16_mul_raw(ah, bh, phi)
-    rh = hh ^ _gf16_mul_raw(ah, bl, phi) ^ _gf16_mul_raw(al, bh, phi)
-    rl = _gf16_mul_raw(lam, hh, phi) ^ _gf16_mul_raw(al, bl, phi)
-    return (rh << 4) | rl
+    return _ext_mul(4, lam, partial(_ext_mul, 2, phi, gf4_mul), a, b)
 
 
 def gf256_tower_inv(x: TowerElem, params: "FieldParams") -> TowerElem:
@@ -134,11 +129,9 @@ def gf256_tower_inv(x: TowerElem, params: "FieldParams") -> TowerElem:
     Uses the two-nibble decomposition: with d = (hi + lo)*lo + lam*hi^2,
     the inverse is (d^-1 * hi, d^-1 * (hi + lo)).
     """
-    s = x.hi ^ x.lo
-    d = _gf16_mul_raw(s, x.lo, params.phi) ^ gf16_square_scale(x.hi, params)
-    dinv = _gf16_inv_raw(d, params.phi)
-    return TowerElem(_gf16_mul_raw(dinv, x.hi, params.phi),
-                     _gf16_mul_raw(dinv, s, params.phi))
+    return TowerElem.from_byte(_ext_inv(
+        4, params.lam, partial(_ext_mul, 2, params.phi, gf4_mul),
+        partial(_ext_inv, 2, params.phi, gf4_mul, gf4_inv), x.byte))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +211,22 @@ class FieldParams:
     delta_inv: tuple[int, ...]     # tower basis -> AES basis
     affine_a: tuple[int, ...] = AFFINE_ROWS
     affine_b: int = AFFINE_CONST
+
+    def __post_init__(self):
+        # Checked here because a parameter file sets every field.
+        for name, value, top in (("lambda", self.lam, 0xF),
+                                 ("phi", self.phi, 0x3),
+                                 ("affine_b", self.affine_b, 0xFF)):
+            if type(value) is not int or not 0 <= value <= top:
+                raise InvalidParamsError(
+                    f"{name} must be an integer 0..{top}, got {value!r}")
+        for name, rows in (("delta", self.delta),
+                           ("delta_inv", self.delta_inv),
+                           ("affine_a", self.affine_a)):
+            if type(rows) is not tuple or len(rows) != 8 or any(
+                    type(r) is not int or not 0 <= r <= 0xFF for r in rows):
+                raise InvalidParamsError(
+                    f"{name} must be 8 integers 0..255, got {rows!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,13 +396,12 @@ def derive_field_params(lam: int = 0xC, phi: int = 0x2,
 
 
 def validate_params(params: FieldParams) -> None:
-    """Check a parameter set against the published S-box on all 256 bytes.
+    """Check a parameter set against the published S-box on all 256 bytes,
+    naming the first byte that differs.
 
-    Also confirms the basis-change round trip, which the S-box check alone
+    Then confirms the basis-change round trip, which the S-box check alone
     would not pin down for non-invertible candidate matrices.
     """
-    if mat8_mul(params.delta_inv, params.delta) != tuple(1 << i for i in range(8)):
-        raise InvalidParamsError("delta_inv * delta is not the identity")
     for x in range(256):
         got = sbox_composite(x, params)
         want = sbox_reference(x)
@@ -401,6 +409,8 @@ def validate_params(params: FieldParams) -> None:
             raise InvalidParamsError(
                 f"S-box mismatch at 0x{x:02x}: tower route 0x{got:02x}, "
                 f"table 0x{want:02x}")
+    if mat8_mul(params.delta_inv, params.delta) != tuple(1 << i for i in range(8)):
+        raise InvalidParamsError("delta_inv * delta is not the identity")
 
 
 # Default parameter set.  All (lam, phi) pairs with irreducible subfield

