@@ -44,7 +44,8 @@ compare it with on full permanent grids.
 Stage programs (compiled bodies, clean tables and lane variants; see
 StageProgram) depend on nothing but the design, so the first use of a
 design object builds them and keeps them on it (stage_programs), and every
-later campaign, golden run and scenario on that object reuses them: tmr
+later campaign, golden run and scenario on that object finds them there
+and reuses them, so no call passes them along: tmr
 and ttr campaigns that follow an original one on the same design compile
 nothing new, and their golden runs start from warm tables.  They are kept
 by object identity, never by value, and are not pickled: a worker process
@@ -65,9 +66,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .faults import (MODELS, PERMANENT, REPLICAS, SITE_KINDS, STUCK0,
+from .faults import (MODELS, PERMANENT, SCHEMES, SITE_KINDS, STUCK0,
                      STUCK1, FLIP, ActiveFault, FaultSet, FaultSpec,
-                     InvalidFaultError, enumerate_sites)
+                     InvalidFaultError, enumerate_sites, scheme_facts)
 from .pipeline import PipelineDesign, build_stage_programs
 from .redundancy import feed, majority3, make_machine
 
@@ -107,11 +108,8 @@ def stage_programs(design: PipelineDesign) -> list:
     return programs
 
 
-def golden_run(scheme: str, design: PipelineDesign, stream,
-               programs=None) -> GoldenRun:
-    if programs is None:
-        programs = stage_programs(design)
-    m = make_machine(scheme, design, None, programs)
+def golden_run(scheme: str, design: PipelineDesign, stream) -> GoldenRun:
+    m = make_machine(scheme, design, None, stage_programs(design))
     stream = list(stream)
     outputs = []
     emitted_at = []
@@ -138,7 +136,7 @@ def _check_start(start: int, golden: GoldenRun) -> None:
 
 
 def run_scenario(scheme: str, design: PipelineDesign, stream,
-                 spec, golden: GoldenRun = None, programs=None,
+                 spec, golden: GoldenRun = None, *,
                  collect_trace: bool = False):
     """Simulate one fault scenario and classify it against the golden run.
 
@@ -155,17 +153,17 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     """
     if not isinstance(stream, (bytes, list)):
         stream = list(stream)
-    if programs is None:
-        programs = stage_programs(design)
+    programs = stage_programs(design)
     if golden is None:
-        golden = golden_run(scheme, design, stream, programs)
+        golden = golden_run(scheme, design, stream)
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
     first = min(s.start_cycle for s in specs)
     _check_start(first, golden)
     fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1
              else ActiveFault(specs[0], design, scheme))
-    if (scheme in _LANE_SCHEMES and len(specs) == 1 and not collect_trace
+    if (len(specs) == 1 and not collect_trace
             and specs[0].duration is PERMANENT and specs[0].start_cycle == 0
+            and not SCHEMES[scheme].stalls
             and len(design.netlist.inputs) <= _MAX_LANE_INPUTS):
         return _classify_permanent(scheme, design, stream, fault, golden,
                                    programs), None
@@ -223,7 +221,6 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
 # A faulted run may take this many cycles beyond the golden run and the
 # fault window before it counts as never completing.
 _MAX_EXTRA_CYCLES = 96
-_LANE_SCHEMES = ("original", "tmr", "ttr")
 _MAX_LANE_INPUTS = 16      # 65,536 lanes; wider inputs take the cycle loop
 
 
@@ -256,7 +253,7 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     clean = last_words()
     faulty = site.replica
     rows = [last_words(r) if r == faulty else clean
-            for r in range(REPLICAS[scheme])]
+            for r in range(SCHEMES[scheme].copies)]
     out = rows[0] if len(rows) == 1 else [majority3(*w) for w in zip(*rows)]
     bad = 0                  # bit x set: the output for input x is wrong
     for k in design.output_slots:
@@ -309,12 +306,18 @@ class CampaignConfig:
 
     def __post_init__(self):
         # Checked here because a config file sets these fields directly.
+        scheme_facts(self.scheme)
         if self.fault_class not in FAULT_CLASSES:
             raise ValueError(f"unknown fault class {self.fault_class!r}; "
                              f"expected one of {', '.join(FAULT_CLASSES)}")
         if self.sample is not None and type(self.sample) is not int:
             raise ValueError(f"sample must be an integer or null, "
                              f"got {self.sample!r}")
+        for name in ("durations", "models", "site_kinds", "start_cycles"):
+            # A string would pass as a sequence of one-letter values.
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list, got "
+                                 f"{getattr(self, name)!r}")
         for name, values in (("durations", self.durations),
                              ("start_cycles", self.start_cycles or ())):
             if any(type(v) is not int for v in values):
@@ -328,8 +331,10 @@ class CampaignConfig:
                                  f"one of {', '.join(known)}")
         if self.stream is not None and not self.stream:
             raise ValueError("stream must not be empty")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "workers"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, "
                              f"got {self.workers}")
@@ -447,10 +452,10 @@ def enumerate_scenarios(design: PipelineDesign,
     return [FaultSpec(site, *cell) for site, cell in product(sites, cells)]
 
 
-def _run_chunk(scheme, design, stream, specs, golden, programs=None) -> list:
+def _run_chunk(scheme, design, stream, specs, golden) -> list:
     # A worker process receives the design without its programs (compiled
     # stage functions do not pickle) and builds its own on first use.
-    return [run_scenario(scheme, design, stream, spec, golden, programs)[0]
+    return [run_scenario(scheme, design, stream, spec, golden)[0]
             for spec in specs]
 
 
@@ -464,8 +469,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     """
     specs = enumerate_scenarios(design, config)
     stream = config.resolved_stream()
-    programs = stage_programs(design)
-    golden = golden_run(config.scheme, design, stream, programs)
+    golden = golden_run(config.scheme, design, stream)
     _check_start(max(config.resolved_starts(design)), golden)
 
     classifications: list[Classification]
@@ -482,7 +486,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
             classifications[i::nw] = res
     else:
         classifications = _run_chunk(config.scheme, design, stream, specs,
-                                     golden, programs)
+                                     golden)
 
     counts: dict = {k: 0 for k in CLASS_KINDS}
     per_site: dict = {}

@@ -39,22 +39,22 @@ _INPUT_ERRORS = (ConfigError, EmptyCampaignError, InvalidFaultError,
                  InvalidSiteError, TooManyStagesError)
 
 
+def _load(what: str, path, load):
+    """load(path); an unreadable or malformed file is a usage error."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ConfigError(f"cannot load {what} {path}: {e}")
+
+
 def _load_params(path) -> FieldParams:
-    if path is None:
-        return DEFAULT_PARAMS
-    try:
-        return FieldParams.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
-        raise ConfigError(f"cannot load params file {path}: {e}")
+    return (DEFAULT_PARAMS if path is None
+            else _load("params file", path, FieldParams.load))
 
 
-def _load_costs(path) -> CostTable:
-    if path is None:
-        return DEFAULT_COSTS
-    try:
-        return CostTable.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
-        raise ConfigError(f"cannot load cost table {path}: {e}")
+def _read_config(path) -> CampaignConfig:
+    with open(path) as fh:
+        return CampaignConfig.from_json_dict(json.load(fh))
 
 
 def _meta(params: FieldParams, costs: CostTable, seed: int) -> dict:
@@ -66,12 +66,16 @@ def _meta(params: FieldParams, costs: CostTable, seed: int) -> dict:
     }
 
 
-def _build_design(params: FieldParams, costs: CostTable, stages: int):
+def _build_design(args) -> tuple:
+    """The parameters, cost table and pipelined design that args name."""
+    params = _load_params(args.params)
+    costs = (DEFAULT_COSTS if args.costs is None
+             else _load("cost table", args.costs, CostTable.load))
     try:
         netlist = synth_sbox(params)
     except ValueError as e:
         raise ConfigError(f"the field parameters do not synthesize: {e}")
-    return cut_pipeline(netlist, stages, costs)
+    return params, costs, cut_pipeline(netlist, args.stages, costs)
 
 
 def _write_output(path, write) -> None:
@@ -119,9 +123,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = _load_params(args.params)
-    costs = _load_costs(args.costs)
-    design = _build_design(params, costs, args.stages)
+    params, costs, design = _build_design(args)
     doc = design.to_json_dict()
     doc["meta"] = _meta(params, costs, args.seed)
     text = json.dumps(doc, indent=1)
@@ -135,9 +137,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = _load_params(args.params)
-    costs = _load_costs(args.costs)
-    design = _build_design(params, costs, args.stages)
+    params, costs, design = _build_design(args)
 
     if args.input_hex is not None:
         try:
@@ -197,18 +197,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    params = _load_params(args.params)
-    costs = _load_costs(args.costs)
-    design = _build_design(params, costs, args.stages)
+    params, costs, design = _build_design(args)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                config = CampaignConfig.from_json_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError,
-                AttributeError) as e:
-            raise ConfigError(f"cannot load campaign config "
-                              f"{args.config}: {e}")
-        fields = config.__dict__
+        fields = _load("campaign config", args.config,
+                       _read_config).__dict__
     else:
         if not args.design or not args.fault:
             raise ConfigError("--design and --fault are required unless "
@@ -244,9 +236,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    params = _load_params(args.params)
-    costs = _load_costs(args.costs)
-    design = _build_design(params, costs, args.stages)
+    params, costs, design = _build_design(args)
     rows = build_metrics(design, costs)
     text = render_table(rows, args.format)
     if args.output:

@@ -20,7 +20,8 @@ transformed whenever the machine samples the word.  Stored values are
 left untouched, so a fault's effect ends with its window.
 
 A site exists in a design and scheme when enumerate_sites lists it;
-nothing else says which sites exist.  Binding a spec to a design and
+nothing else says which sites exist.  It lists them from the scheme's
+record in SCHEMES, the one table of what each scheme builds.  Binding a spec to a design and
 scheme (ActiveFault) looks its site up there and turns it into a table
 for its site kind.  Every table entry is one (and, or, xor) mask triple,
 read as (word & and | or) ^ xor: stuck-at-0 on the bits m is (~m, 0, 0),
@@ -49,8 +50,31 @@ STUCK1 = "sa1"
 FLIP = "flip"
 MODELS = (STUCK0, STUCK1, FLIP)
 
-SCHEMES = ("original", "hfs", "tmr", "ttr")
-REPLICAS = {"original": 1, "hfs": 2, "tmr": 3, "ttr": 1}
+
+@dataclass(frozen=True, slots=True)
+class Scheme:
+    """What a fault-tolerance scheme builds around the pipeline."""
+    copies: int          # pipeline replicas run side by side
+    buffer_rows: int     # result-buffer rows: one per pass of each input
+    stalls: bool         # detection units and voter latches; stalls on error
+    guarantees: tuple    # (tolerates transient, tolerates permanent)
+
+
+# The one table of scheme facts; iterating it gives the scheme names.
+SCHEMES = {
+    "original": Scheme(1, 0, False, (False, False)),
+    "hfs": Scheme(2, 0, True, (True, False)),
+    "tmr": Scheme(3, 0, False, (True, True)),
+    "ttr": Scheme(1, 3, False, (True, False)),
+}
+
+
+def scheme_facts(scheme: str) -> Scheme:
+    """The scheme's record in SCHEMES; an unknown name is a ValueError."""
+    facts = SCHEMES.get(scheme)
+    if facts is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return facts
 
 
 class InvalidSiteError(ValueError):
@@ -169,25 +193,23 @@ class FaultSpec:
 def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
     """Complete, duplicate-free, deterministic fault-site list.
 
-    For the duplicated-pipeline scheme this covers both replicas' gates
-    and register bits plus the per-stage comparators and voter latches;
-    for the others, each replica's gates and registers (and the result
-    buffer for the time-redundant scheme).
+    Each replica's gates, register bits and result-buffer rows, then,
+    for a scheme that stalls (the duplicated pipeline), the per-stage
+    comparators and voter latches.
     """
-    if scheme not in SCHEMES:
-        raise InvalidSiteError(f"unknown scheme {scheme!r}")
+    facts = scheme_facts(scheme)
     sites: list = []
     widths = [len(c) for c in design.cuts]
-    for replica in range(REPLICAS[scheme]):
+    for replica in range(facts.copies):
         for g in design.netlist.gates:
             sites.append(GateSite(g.id, replica))
         for stage, w in enumerate(widths):
             for bit in range(w):
                 sites.append(RegisterSite(stage, bit, replica))
-        for row in range(3 if scheme == "ttr" else 0):   # result buffer
+        for row in range(facts.buffer_rows):
             for bit in range(len(design.netlist.outputs)):
                 sites.append(RegisterSite(design.n_stages + row, bit, replica))
-    if scheme == "hfs":
+    if facts.stalls:
         for stage in range(design.n_stages):
             sites.append(ComparatorSite(stage))
         for stage, w in enumerate(widths):

@@ -24,18 +24,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .faults import scheme_facts
 from .netlist import CostTable, DEFAULT_COSTS, area_ge
 from .pipeline import PipelineDesign
 
 SCHEME_ORDER = ("original", "tmr", "ttr", "hfs")
-
-# (tolerates_transient, tolerates_permanent) per scheme.
-GUARANTEE_FLAGS = {
-    "original": (False, False),
-    "tmr": (True, True),
-    "ttr": (True, False),
-    "hfs": (True, False),
-}
 
 
 class ZeroBaselineError(ValueError):
@@ -99,47 +92,37 @@ def _maj3_delay(costs: CostTable) -> float:
 
 def measure_design(scheme: str, design: PipelineDesign,
                    costs: CostTable = DEFAULT_COSTS) -> MetricsRow:
-    """Area/frequency/throughput for one scheme built on this pipeline."""
-    logic = area_ge(design.netlist, costs)
+    """Area/frequency/throughput for one scheme built on this pipeline:
+    its pipeline copies, then each structure of its scheme record."""
+    facts = scheme_facts(scheme)
     widths = [len(c) for c in design.cuts]
-    reg_bits = sum(widths)
-    regs = reg_bits * costs.register_bit_ge
     out_bits = len(design.netlist.outputs)
-    msd = design.max_stage_delay
-    n = design.n_stages
-
-    if scheme == "original":
-        area = logic + regs
-        stage_delay = msd
-        cycles = 1
-    elif scheme == "hfs":
-        voters = reg_bits * costs.ge("MUX2")
-        dus = sum(_du_ge(w, costs) for w in widths)
-        cu = _or_tree_ge(n, costs)
-        area = 2 * (logic + regs) + voters + dus + cu
-        stage_delay = msd + _du_delay(max(widths), costs) + costs.delay("MUX2")
-        cycles = 1
-    elif scheme == "tmr":
-        area = 3 * (logic + regs) + out_bits * _maj3_ge(costs)
-        stage_delay = msd + _maj3_delay(costs)
-        cycles = 1
-    elif scheme == "ttr":
-        # Result buffer (3 rows), input hold register, phase counter.
-        extra_bits = 3 * out_bits + len(design.netlist.inputs) + 2
-        area = (logic + regs + extra_bits * costs.register_bit_ge
-                + out_bits * _maj3_ge(costs))
-        stage_delay = msd + _maj3_delay(costs)
-        cycles = 3
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    area = facts.copies * (area_ge(design.netlist, costs)
+                           + sum(widths) * costs.register_bit_ge)
+    stage_delay = design.max_stage_delay
+    if facts.buffer_rows:
+        # Result buffer, input hold register, phase counter.
+        area += (facts.buffer_rows * out_bits + len(design.netlist.inputs)
+                 + 2) * costs.register_bit_ge
+    if facts.stalls:
+        # Hold-state voters, detection units, control unit.
+        area += sum(widths) * costs.ge("MUX2")
+        area += sum(_du_ge(w, costs) for w in widths)
+        area += _or_tree_ge(design.n_stages, costs)
+        stage_delay += _du_delay(max(widths), costs)
+        stage_delay += costs.delay("MUX2")
+    if max(facts.copies, facts.buffer_rows) == 3:
+        # A majority voter over three copies or three passes.
+        area += out_bits * _maj3_ge(costs)
+        stage_delay += _maj3_delay(costs)
 
     freq = 1.0 / stage_delay
-    flags = GUARANTEE_FLAGS[scheme]
+    cycles = facts.buffer_rows or 1
     return MetricsRow(design=scheme, area_ge=area, max_freq=freq,
                       throughput=throughput(freq, out_bits, cycles),
                       cycles_per_result=cycles,
-                      tolerates_transient=flags[0],
-                      tolerates_permanent=flags[1])
+                      tolerates_transient=facts.guarantees[0],
+                      tolerates_permanent=facts.guarantees[1])
 
 
 def build_metrics(design: PipelineDesign,

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .faults import ActiveFault
+from .faults import ActiveFault, scheme_facts
 from .pipeline import PipelineDesign, StageProgram, build_stage_programs
 
 
@@ -246,11 +246,9 @@ class FcDmrMachine(_MachineBase):
 class TmrMachine(_MachineBase):
     """Three replica pipelines, output-register majority vote, no stalls."""
 
-    REPLICAS = 3
-
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs = [[0] * self.n for _ in range(self.REPLICAS)]
+        self.regs = [[0] * self.n for _ in range(3)]
         self.valid = [False] * self.n
 
     def step(self, inp: Optional[int]) -> StepRecord:
@@ -258,8 +256,7 @@ class TmrMachine(_MachineBase):
         n = self.n
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = [self._read_regs(self.regs[r], r, kinds)
-                 for r in range(self.REPLICAS)]
+        reads = [self._read_regs(self.regs[r], r, kinds) for r in range(3)]
         out = None
         if self.valid[n - 1]:
             voted = majority3(reads[0][n - 1], reads[1][n - 1],
@@ -356,11 +353,8 @@ MACHINE_CLASSES = {
 
 def make_machine(scheme: str, design: PipelineDesign, fault=None,
                  programs=None):
-    try:
-        cls = MACHINE_CLASSES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
-    return cls(design, fault, programs)
+    scheme_facts(scheme)
+    return MACHINE_CLASSES[scheme](design, fault, programs)
 
 
 def feed(machine, stream, cap: Optional[int] = None):

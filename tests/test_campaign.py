@@ -14,8 +14,9 @@ from sboxsim import campaign
 from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
                               default_stream, enumerate_scenarios,
                               golden_run, run_campaign, run_scenario)
-from sboxsim.faults import (FLIP, FaultSpec, GateSite, InvalidFaultError,
-                            PERMANENT, RegisterSite, enumerate_sites)
+from sboxsim.faults import (FLIP, MODELS, SITE_KINDS, FaultSpec, GateSite,
+                            InvalidFaultError, PERMANENT, RegisterSite,
+                            enumerate_sites)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import StageProgram, build_stage_programs, cut_pipeline
 from sboxsim.redundancy import make_machine
@@ -65,17 +66,16 @@ def test_permanent_lane_path_equals_cycle_loop(design, scheme, monkeypatch):
     # trace runs the cycle-accurate machines, which stay the oracle.  The
     # whole permanent grid, every site kind.
     stream = random.Random(7).sample(range(256), 64)
-    programs = build_stage_programs(design)
-    golden = golden_run(scheme, design, stream, programs)
+    golden = golden_run(scheme, design, stream)
     specs = enumerate_scenarios(
         design, CampaignConfig(scheme=scheme, fault_class="permanent"))
     with monkeypatch.context() as mp:
         mp.setattr(campaign, "make_machine", None)
         fast = [(str(spec), run_scenario(scheme, design, stream, spec,
-                                         golden, programs)[0])
+                                         golden)[0])
                 for spec in specs]
     slow = [(str(spec), run_scenario(scheme, design, stream, spec, golden,
-                                     programs, collect_trace=True)[0])
+                                     collect_trace=True)[0])
             for spec in specs]
     assert fast == slow
 
@@ -102,6 +102,15 @@ def test_other_scenarios_keep_the_cycle_loop(design, stream, monkeypatch):
                          collect_trace=trace)
 
 
+def test_collect_trace_is_keyword_only(design, stream):
+    # A sixth positional argument raises: it must not land in
+    # collect_trace and silently take the traced path.
+    spec = FaultSpec(GateSite(design.netlist.gates[5].id), "flip", 3, 2)
+    golden = golden_run("hfs", design, stream)
+    with pytest.raises(TypeError):
+        run_scenario("hfs", design, stream, spec, golden, [])
+
+
 @pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
 def test_resume_equals_run_from_cycle_zero(design, scheme):
     # An untraced scenario resumes from the golden snapshot at its first
@@ -112,8 +121,7 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     # whose members start at different cycles.  A scenario whose every
     # fault starts once the run has ended is rejected on both paths.
     stream = [0x00, 0x53, 0xFF, 0x1C, 0xA7, 0x80]
-    programs = build_stage_programs(design)
-    golden = golden_run(scheme, design, stream, programs)
+    golden = golden_run(scheme, design, stream)
     end = golden.cycles
     starts = (0, 1, end // 2, end - 3, end, end + 4)
     specs = []
@@ -127,7 +135,7 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     specs += [[a, b] for a, b in pairs if a.start_cycle != b.start_cycle]
 
     def classify(spec, trace):
-        return run_scenario(scheme, design, stream, spec, golden, programs,
+        return run_scenario(scheme, design, stream, spec, golden,
                             collect_trace=trace)[0]
 
     def first_start(spec):
@@ -154,8 +162,7 @@ def test_resume_equals_run_from_cycle_zero_late_in_a_long_stream(design,
     # whole Classification must equal the traced run's, first_bad_cycle
     # included.
     stream = random.Random(11).randbytes(600)
-    programs = build_stage_programs(design)
-    golden = golden_run(scheme, design, stream, programs)
+    golden = golden_run(scheme, design, stream)
     rng = random.Random(13)
     sites = enumerate_sites(design, scheme)
 
@@ -170,7 +177,7 @@ def test_resume_equals_run_from_cycle_zero_late_in_a_long_stream(design,
     specs += [[late_spec(), late_spec()] for _ in range(12)]
 
     def classify(spec, trace):
-        return run_scenario(scheme, design, stream, spec, golden, programs,
+        return run_scenario(scheme, design, stream, spec, golden,
                             collect_trace=trace)[0]
     resumed = [classify(spec, False) for spec in specs]
     assert resumed == [classify(spec, True) for spec in specs]
@@ -355,14 +362,33 @@ def test_sampled_grid_rejects_every_bad_cell(design):
 @pytest.mark.parametrize("field,bad", [
     ("durations", (1, 1.5)), ("durations", (True,)),
     ("start_cycles", (0, 2.0)), ("seed", "x"), ("seed", True),
-    ("workers", 0), ("workers", -1),
+    ("workers", 0), ("workers", -1), ("workers", 2.5), ("workers", "2"),
+    ("workers", True),
+    # A string is no list of values, though it iterates as one.
+    ("durations", "12"), ("models", "flip"), ("site_kinds", "gate"),
+    ("start_cycles", "12"),
 ])
 def test_config_rejects_non_integer_windows_seed_and_workers(field, bad):
     # Checked at construction: a permanent campaign never builds a spec
     # from its durations, and a sample builds only the specs it draws.
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as e:
         CampaignConfig(scheme="original", fault_class="permanent",
                        **{field: bad})
+    if isinstance(bad, str):
+        assert repr(bad) in str(e.value)    # whole, not letter by letter
+
+
+def test_unknown_scheme_is_rejected_alike_everywhere(design):
+    from sboxsim.metrics import measure_design
+    calls = [lambda: CampaignConfig(scheme="bogus"),
+             lambda: make_machine("bogus", design),
+             lambda: measure_design("bogus", design),
+             lambda: enumerate_sites(design, "bogus")]
+    for call in calls:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert type(e.value) is ValueError
+        assert str(e.value) == "unknown scheme 'bogus'"
 
 
 _ints = st.integers(min_value=0, max_value=2**20)
@@ -681,6 +707,26 @@ def test_correction_guarantee_holds_for_any_duration(design):
     assert res.total == 300
     assert res.guarantee_holds(), res.counts
     assert res.counts["detected_corrected"] > 0
+
+
+def test_correction_guarantee_holds_with_every_byte_in_every_stage(design):
+    # The default stream opens with the byte values 0..255 in order, and
+    # at cycle c stage k evaluates the input taken at cycle c - k, which
+    # register k holds from the next cycle.  So starts 0..n_stages+256
+    # start a fault while each byte value is in each stage and each
+    # register: the sample draws every one of those starts, on every site
+    # kind, under every fault model, in about a second.
+    starts = tuple(range(design.n_stages + 257))
+    cfg = CampaignConfig(scheme="hfs", models=MODELS,
+                         site_kinds=SITE_KINDS, start_cycles=starts,
+                         sample=5000, seed=17)
+    specs = enumerate_scenarios(design, cfg)
+    assert {s.start_cycle for s in specs} == set(starts)
+    assert {s.site.kind for s in specs} == set(SITE_KINDS)
+    assert {s.model for s in specs} == set(MODELS)
+    res = run_campaign(design, cfg)
+    assert res.counts["sdc"] == 0, res.counts
+    assert res.counts["detected_uncorrected"] == 0, res.counts
 
 
 @pytest.mark.parametrize("n_stages", [2, 3, 7])

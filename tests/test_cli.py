@@ -173,6 +173,11 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     pytest.param(["campaign", "--config",
                   {"scheme": "hfs", "stream_hex": ""}],
                  id="campaign --config empty stream"),
+    pytest.param(["campaign", "--config", {"scheme": "bogus"}],
+                 id="campaign --config scheme bogus"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "models": "flip", "sample": 3}],
+                 id="campaign --config models string"),
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
      "--workers", "0"],
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",

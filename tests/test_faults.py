@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sboxsim.faults import (FLIP, MODELS, REPLICAS, SCHEMES, SITE_KINDS,
+from sboxsim.faults import (FLIP, MODELS, SCHEMES, SITE_KINDS,
                             ActiveFault, ComparatorSite, FaultSet, FaultSpec,
                             GateSite, InvalidFaultError, InvalidSiteError,
                             PERMANENT, RegisterSite, VoterLatchSite,
@@ -183,7 +183,7 @@ def test_bind_accepts_exactly_the_enumerated_sites(design, scheme):
     # error.
     nl = design.netlist
     n, width = design.n_stages, max(len(c) for c in design.cuts)
-    replicas = range(REPLICAS[scheme] + 1)
+    replicas = range(SCHEMES[scheme].copies + 1)
     box = [GateSite(g, r) for g in range(len(nl.inputs) - 1,
                                          nl.signal_count + 1)
            for r in replicas]

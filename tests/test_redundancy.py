@@ -9,7 +9,7 @@ import pytest
 from sboxsim import campaign
 from sboxsim.campaign import (DEFAULT_SEED, CampaignConfig, default_stream,
                               enumerate_scenarios, golden_run, run_scenario)
-from sboxsim.faults import (REPLICAS, SCHEMES, ActiveFault, ComparatorSite,
+from sboxsim.faults import (SCHEMES, ActiveFault, ComparatorSite,
                             FaultSet, FaultSpec, GateSite, PERMANENT,
                             RegisterSite, VoterLatchSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
@@ -346,7 +346,8 @@ def bind(specs, design, scheme):
 def sharing_cases(design, scheme):
     gate = design.netlist.gates[60].id
     cases = [[FaultSpec(GateSite(gate, r), model, 7, 3)]
-             for r in range(REPLICAS[scheme]) for model in ("flip", "sa1")]
+             for r in range(SCHEMES[scheme].copies)
+             for model in ("flip", "sa1")]
     cases += [[FaultSpec(RegisterSite(2, 1, 1), "flip", 8, 2)],
               [FaultSpec(GateSite(design.netlist.gates[5].id, 0), "flip",
                          6, 4),
@@ -489,12 +490,14 @@ def test_golden_run_equals_stepped_run(design, scheme, stream, monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_golden_run_evaluates_each_clean_word_once(design, scheme,
                                                    monkeypatch):
+    # A design of its own, whose programs the golden run finds on it.
+    own = cut_pipeline(design.netlist, design.n_stages)
     calls = Counter()
-    programs = build_stage_programs(design)
+    programs = campaign.stage_programs(own)
     for s, p in enumerate(programs):
         monkeypatch.setattr(p, "fast", lambda w, s=s, fn=p.fast:
                             calls.update((s,)) or fn(w))
-    golden_run(scheme, design, LATE_STREAM, programs)
+    golden_run(scheme, own, LATE_STREAM)
     for s, p in enumerate(programs):
         # A clean word of stage s comes from an input value or from one
         # of the s reset words before it.
@@ -517,15 +520,17 @@ def test_faulted_scenarios_leave_the_clean_tables_alone(design, scheme,
                                                         config, monkeypatch):
     # Faulted machines call fast and neither read nor fill a table: the
     # tables' hit and miss counts stay as the golden run left them.
+    # A design of its own, whose programs every call finds on it.
+    own = cut_pipeline(design.netlist, design.n_stages)
     stream = default_stream()
-    programs = build_stage_programs(design)
-    golden = golden_run(scheme, design, stream, programs)
+    programs = campaign.stage_programs(own)
+    golden = golden_run(scheme, own, stream)
     tables = [p.clean.cache_info() for p in programs]
     calls = Counter()
     for p in programs:
         monkeypatch.setattr(p, "fast", lambda w, fn=p.fast:
                             calls.update(("fast",)) or fn(w))
-    for spec in enumerate_scenarios(design, config):
-        run_scenario(scheme, design, stream, spec, golden, programs)
+    for spec in enumerate_scenarios(own, config):
+        run_scenario(scheme, own, stream, spec, golden)
     assert calls["fast"] > 0
     assert [p.clean.cache_info() for p in programs] == tables
