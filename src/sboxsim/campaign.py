@@ -45,9 +45,9 @@ Stage programs (compiled bodies, clean tables and lane variants; see
 StageProgram) depend on nothing but the design, so the first use of a
 design object builds them and keeps them on it (stage_programs), and every
 later campaign, golden run and scenario on that object finds them there
-and reuses them, so no call passes them along: tmr
-and ttr campaigns that follow an original one on the same design compile
-nothing new, and their golden runs start from warm tables.  They are kept
+and reuses them, so no call passes them along: tmr and ttr campaigns that
+follow an original one on the same design compile nothing new, and their
+golden runs start from warm tables.  They are kept
 by object identity, never by value, and are not pickled: a worker process
 builds its own from the design it receives.
 
@@ -308,29 +308,36 @@ class CampaignConfig:
         # Checked here because a config file sets these fields directly.
         scheme_facts(self.scheme)
         if self.fault_class not in FAULT_CLASSES:
-            raise ValueError(f"unknown fault class {self.fault_class!r}; "
-                             f"expected one of {', '.join(FAULT_CLASSES)}")
+            raise ValueError(f"fault_class must be one of {FAULT_CLASSES}, "
+                             f"got {self.fault_class!r}")
         if self.sample is not None and type(self.sample) is not int:
             raise ValueError(f"sample must be an integer or null, "
                              f"got {self.sample!r}")
         for name in ("durations", "models", "site_kinds", "start_cycles"):
-            # A string would pass as a sequence of one-letter values.
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list, got "
-                                 f"{getattr(self, name)!r}")
+            # A string would pass as a sequence of one-letter values, and
+            # an iterator would be used up by the checks below; a list is
+            # kept as a tuple, as a config file's list is read.
+            value = getattr(self, name)
+            if isinstance(value, (tuple, list)):
+                object.__setattr__(self, name, tuple(value))
+            elif value is not None or name in ("durations", "site_kinds"):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         for name, values in (("durations", self.durations),
                              ("start_cycles", self.start_cycles or ())):
             if any(type(v) is not int for v in values):
                 raise ValueError(f"{name} must be integers, got "
                                  f"{list(values)!r}")
-        for name, values, known in (("site kind", self.site_kinds, SITE_KINDS),
-                                    ("fault model", self.models or (), MODELS)):
+        for name, what, values, known in (
+                ("site_kinds", "site kind", self.site_kinds, SITE_KINDS),
+                ("models", "fault model", self.models or (), MODELS)):
             unknown = [k for k in values if k not in known]
             if unknown:
-                raise ValueError(f"unknown {name} {unknown[0]!r}; expected "
-                                 f"one of {', '.join(known)}")
-        if self.stream is not None and not self.stream:
-            raise ValueError("stream must not be empty")
+                raise ValueError(f"unknown {what} {unknown[0]!r} in {name}; "
+                                 f"expected one of {', '.join(known)}")
+        if self.stream is not None and not (
+                isinstance(self.stream, (bytes, bytearray)) and self.stream):
+            raise ValueError(f"stream must be nonempty bytes, got "
+                             f"{self.stream!r}")
         for name in ("seed", "workers"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got "
@@ -341,12 +348,12 @@ class CampaignConfig:
 
     def resolved_models(self) -> tuple:
         if self.models is not None:
-            return tuple(self.models)
+            return self.models
         return (FLIP,) if self.fault_class == "transient" else (STUCK0, STUCK1)
 
     def resolved_starts(self, design: PipelineDesign) -> tuple:
         if self.start_cycles is not None:
-            return tuple(self.start_cycles)
+            return self.start_cycles
         if self.fault_class == "permanent":
             return (0,)
         return tuple(range(design.n_stages + 3))
@@ -365,9 +372,12 @@ class CampaignConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CampaignConfig":
         """A config from its file document; a field the file leaves out
-        takes its default."""
-        fields = {k: tuple(v) if isinstance(v, list) else v
-                  for k, v in doc.items() if k in _JSON_FIELDS}
+        takes its default, and a key it does not know is a ValueError."""
+        fields = {k: v for k, v in doc.items() if k != "stream_hex"}
+        unknown = [k for k in fields if k not in _JSON_FIELDS]
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; expected "
+                             f"{', '.join(_JSON_FIELDS)} or stream_hex")
         if "stream_hex" in doc:
             fields["stream"] = bytes.fromhex(doc["stream_hex"])
         return cls(**fields)

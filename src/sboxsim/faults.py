@@ -71,7 +71,7 @@ SCHEMES = {
 
 def scheme_facts(scheme: str) -> Scheme:
     """The scheme's record in SCHEMES; an unknown name is a ValueError."""
-    facts = SCHEMES.get(scheme)
+    facts = SCHEMES.get(scheme) if isinstance(scheme, str) else None
     if facts is None:
         raise ValueError(f"unknown scheme {scheme!r}")
     return facts
@@ -308,14 +308,13 @@ class ActiveFault:
     def gate_overrides(self, stage: int, replica: int) -> Optional[frozenset]:
         return self._gates.get((stage, replica))
 
-    def transform_regs(self, replica: int, regs: list[int]) -> list[int]:
-        out = regs
+    def transform_regs(self, replica: int, regs: tuple) -> tuple:
+        """regs as the replica reads them: a new tuple if a word of it is
+        faulted, else regs itself.  regs is never written."""
         for (r, b), (a, o, x) in self._regs.items():
             if r == replica and b < len(regs):
-                if out is regs:
-                    out = list(regs)
-                out[b] = (out[b] & a | o) ^ x
-        return out
+                regs = (*regs[:b], (regs[b] & a | o) ^ x, *regs[b + 1:])
+        return regs
 
     def reg_read(self, replica: int, boundary: int, word: int) -> int:
         t = self._regs.get((replica, boundary))

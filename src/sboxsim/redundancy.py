@@ -19,14 +19,14 @@ All machines expose step(input_byte_or_None) -> StepRecord and the
 counters consumed / emitted / stall_cycles, and feed(machine, stream) is
 the one driver that clocks any of them over a byte stream: the golden
 run, every fault scenario, the CLI and the fault-free streaming_eval all
-run through it.  Each machine also has a canonical_state() tuple that
-the campaign runner uses for golden-state convergence checks.
-restore(state, cycle) is its exact inverse: it puts the machine into the
-state canonical_state() returned after `cycle` cycles, copied into fresh
-lists so that stepping never alters the snapshot.  The campaign runner
-uses it to start a scenario from the golden run at its first fault cycle.
-The stall count is not part of the state; a restored machine keeps its
-own.
+run through it.  A machine holds its state in immutable values only
+(tuples, ints, bools, None): stepping replaces a field, never writes into
+one.  So canonical_state() is the fields themselves, a snapshot that the
+campaign runner uses for golden-state convergence checks, and
+restore(state, cycle), its exact inverse, takes them back as they are:
+nothing is copied either way.  The campaign runner uses restore to start
+a scenario from the golden run at its first fault cycle.  The stall count
+is not part of the state; a restored machine keeps its own.
 
 Faults are bound at construction as an ActiveFault (or None) and perturb
 reads only; see the faults module.  A machine calls only the hooks of
@@ -95,23 +95,19 @@ class _MachineBase:
         self.emitted = 0
         self.stall_cycles = 0
 
-    def _advance(self, word: int, srcs, kinds) -> list:
-        """Every replica's next register words, replica r reading
-        srcs[r], with each distinct (stage, input word, overrides)
-        evaluated once across replicas: a stage with overrides runs for
-        its own replica only and never also clean for it, and replicas
-        that read equal words share every other stage.  Every replica
-        gets its own list."""
+    def _advance(self, word: int, srcs, kinds) -> tuple:
+        """Every replica's next register words, one tuple per replica,
+        replica r reading srcs[r], with each distinct (stage, input word,
+        overrides) evaluated once across replicas: a stage with overrides
+        runs for its own replica only and never also clean for it, and
+        replicas that read equal words share every other stage."""
         overrides = self.fault.gate_overrides if "gate" in kinds else None
         first = srcs[0]
         if overrides is None and srcs.count(first) == len(srcs):
             # Every stage is shared, as in every fault-free cycle: one
-            # pass, copied, with no per-stage bookkeeping.
-            regs = [ev(w) for ev, w in zip(self._evals, (word, *first))]
-            out = [regs]
-            while len(out) < len(srcs):
-                out.append(regs[:])
-            return out
+            # pass, one tuple for every replica, no per-stage bookkeeping.
+            return (tuple([ev(w) for ev, w in
+                           zip(self._evals, (word, *first))]),) * len(srcs)
         out = [[] for _ in srcs]
         for s, p in enumerate(self.programs):
             done = {}               # (input word, overrides) -> result
@@ -123,9 +119,9 @@ class _MachineBase:
                     w, ov = key
                     v = done[key] = p.interp(w, ov) if ov else p.fast(w)
                 regs.append(v)
-        return out
+        return tuple(map(tuple, out))
 
-    def _read_regs(self, regs: list[int], replica: int, kinds) -> list[int]:
+    def _read_regs(self, regs: tuple, replica: int, kinds) -> tuple:
         if "register" not in kinds:
             return regs
         return self.fault.transform_regs(replica, regs)
@@ -136,8 +132,8 @@ class PlainPipelineMachine(_MachineBase):
 
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs = [0] * self.n
-        self.valid = [False] * self.n
+        self.regs = (0,) * self.n
+        self.valid = (False,) * self.n
 
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
@@ -150,19 +146,18 @@ class PlainPipelineMachine(_MachineBase):
             self.emitted += 1
         accepted = inp is not None
         self.regs = self._advance(inp if accepted else 0, (reads,), kinds)[0]
-        self.valid = [accepted] + self.valid[:self.n - 1]
+        self.valid = (accepted,) + self.valid[:self.n - 1]
         if accepted:
             self.consumed += 1
         self.cycle += 1
         return StepRecord(cyc, inp, accepted, (), False, out)
 
     def canonical_state(self):
-        return (tuple(self.regs), tuple(self.valid),
-                self.consumed, self.emitted)
+        return self.regs, self.valid, self.consumed, self.emitted
 
     def restore(self, state, cycle: int) -> None:
-        regs, valid, self.consumed, self.emitted = state
-        self.regs, self.valid, self.cycle = list(regs), list(valid), cycle
+        self.regs, self.valid, self.consumed, self.emitted = state
+        self.cycle = cycle
 
 
 class FcDmrMachine(_MachineBase):
@@ -181,10 +176,8 @@ class FcDmrMachine(_MachineBase):
 
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs_a = [0] * self.n
-        self.regs_b = [0] * self.n
-        self.latches = [0] * self.n
-        self.valid = [False] * self.n
+        self.regs_a = self.regs_b = self.latches = (0,) * self.n
+        self.valid = (False,) * self.n
         self.in_hold = 0
 
     def step(self, inp: Optional[int]) -> StepRecord:
@@ -221,8 +214,8 @@ class FcDmrMachine(_MachineBase):
         if g_err:
             self.stall_cycles += 1
         else:
-            self.latches = list(reads_a)
-            self.valid = [accepted] + self.valid[:n - 1]
+            self.latches = reads_a
+            self.valid = (accepted,) + self.valid[:n - 1]
             self.in_hold = s0
             if accepted:
                 self.consumed += 1
@@ -232,14 +225,12 @@ class FcDmrMachine(_MachineBase):
         return StepRecord(cyc, inp, accepted, tuple(errs), g_err, out)
 
     def canonical_state(self):
-        return (tuple(self.regs_a), tuple(self.regs_b), tuple(self.latches),
-                tuple(self.valid), self.in_hold, self.consumed, self.emitted)
+        return (self.regs_a, self.regs_b, self.latches, self.valid,
+                self.in_hold, self.consumed, self.emitted)
 
     def restore(self, state, cycle: int) -> None:
-        (regs_a, regs_b, latches, valid, self.in_hold, self.consumed,
-         self.emitted) = state
-        self.regs_a, self.regs_b = list(regs_a), list(regs_b)
-        self.latches, self.valid = list(latches), list(valid)
+        (self.regs_a, self.regs_b, self.latches, self.valid, self.in_hold,
+         self.consumed, self.emitted) = state
         self.cycle = cycle
 
 
@@ -248,8 +239,8 @@ class TmrMachine(_MachineBase):
 
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs = [[0] * self.n for _ in range(3)]
-        self.valid = [False] * self.n
+        self.regs = ((0,) * self.n,) * 3
+        self.valid = (False,) * self.n
 
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
@@ -265,20 +256,18 @@ class TmrMachine(_MachineBase):
             self.emitted += 1
         accepted = inp is not None
         self.regs = self._advance(inp if accepted else 0, reads, kinds)
-        self.valid = [accepted] + self.valid[:n - 1]
+        self.valid = (accepted,) + self.valid[:n - 1]
         if accepted:
             self.consumed += 1
         self.cycle += 1
         return StepRecord(cyc, inp, accepted, (), False, out)
 
     def canonical_state(self):
-        return (tuple(tuple(r) for r in self.regs), tuple(self.valid),
-                self.consumed, self.emitted)
+        return self.regs, self.valid, self.consumed, self.emitted
 
     def restore(self, state, cycle: int) -> None:
-        regs, valid, self.consumed, self.emitted = state
-        self.regs = [list(r) for r in regs]
-        self.valid, self.cycle = list(valid), cycle
+        self.regs, self.valid, self.consumed, self.emitted = state
+        self.cycle = cycle
 
 
 class TtrMachine(_MachineBase):
@@ -288,9 +277,9 @@ class TtrMachine(_MachineBase):
 
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs = [0] * self.n
-        self.valid = [False] * self.n
-        self.buffer: list[int] = []
+        self.regs = (0,) * self.n
+        self.valid = (False,) * self.n
+        self.buffer = ()        # the results of this input's passes so far
         self.phase = 0          # 0 accepts a new input; 1, 2 replay it
         self.held: Optional[int] = None
 
@@ -309,14 +298,14 @@ class TtrMachine(_MachineBase):
 
         out = None
         if self.valid[n - 1]:
-            self.buffer.append(reads[n - 1])
+            self.buffer += (reads[n - 1],)
             if len(self.buffer) == 3:
                 voted = majority3(self._buffer_read(0, kinds),
                                   self._buffer_read(1, kinds),
                                   self._buffer_read(2, kinds))
                 out = self.design.output_byte(voted)
                 self.emitted += 1
-                self.buffer.clear()
+                self.buffer = ()
 
         accepted = False
         if self.phase == 0:
@@ -327,20 +316,19 @@ class TtrMachine(_MachineBase):
         feeding = self.held is not None
         self.regs = self._advance(self.held if feeding else 0, (reads,),
                                   kinds)[0]
-        self.valid = [feeding] + self.valid[:n - 1]
+        self.valid = (feeding,) + self.valid[:n - 1]
         self.phase = (self.phase + 1) % 3
         self.cycle += 1
         return StepRecord(cyc, inp, accepted, (), False, out)
 
     def canonical_state(self):
-        return (tuple(self.regs), tuple(self.valid), tuple(self.buffer),
-                self.phase, self.held, self.consumed, self.emitted)
+        return (self.regs, self.valid, self.buffer, self.phase, self.held,
+                self.consumed, self.emitted)
 
     def restore(self, state, cycle: int) -> None:
-        (regs, valid, buffer, self.phase, self.held, self.consumed,
-         self.emitted) = state
-        self.regs, self.valid = list(regs), list(valid)
-        self.buffer, self.cycle = list(buffer), cycle
+        (self.regs, self.valid, self.buffer, self.phase, self.held,
+         self.consumed, self.emitted) = state
+        self.cycle = cycle
 
 
 MACHINE_CLASSES = {

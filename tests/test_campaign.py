@@ -8,7 +8,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sboxsim import campaign
 from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
@@ -367,6 +367,11 @@ def test_sampled_grid_rejects_every_bad_cell(design):
     # A string is no list of values, though it iterates as one.
     ("durations", "12"), ("models", "flip"), ("site_kinds", "gate"),
     ("start_cycles", "12"),
+    # Nor is any other iterable: a range or a set would not be written
+    # back as a list, a generator would be used up by the checks.
+    ("start_cycles", range(3)), ("durations", {1, 2}),
+    ("site_kinds", (k for k in ("gate",))), ("models", {"flip": 1}),
+    ("stream", [0, 1]), ("stream", (0, 1)), ("stream", "0001"),
 ])
 def test_config_rejects_non_integer_windows_seed_and_workers(field, bad):
     # Checked at construction: a permanent campaign never builds a spec
@@ -376,6 +381,26 @@ def test_config_rejects_non_integer_windows_seed_and_workers(field, bad):
                        **{field: bad})
     if isinstance(bad, str):
         assert repr(bad) in str(e.value)    # whole, not letter by letter
+
+
+def test_config_keeps_lists_as_tuples_and_a_bytearray_stream():
+    config = CampaignConfig(scheme="hfs", durations=[1, 2],
+                            start_cycles=[0], stream=bytearray(b"ab"))
+    assert config.durations == (1, 2) and config.start_cycles == (0,)
+    doc = json.loads(json.dumps(config.to_json_dict()))
+    assert CampaignConfig.from_json_dict(doc) == config
+
+
+def test_config_file_rejects_unknown_keys():
+    # A whole result document is no config: its config is its "config"
+    # member, and read as one it would run a different campaign.
+    result = {"scheme": "hfs", "config": {"scheme": "hfs", "sample": 3},
+              "counts": {}}
+    for doc, key in ((result, "config"), ({"scheme": "hfs", "workers": 2},
+                                          "workers"),
+                     ({"scheme": "hfs", "stream": "00"}, "stream")):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            CampaignConfig.from_json_dict(doc)
 
 
 def test_unknown_scheme_is_rejected_alike_everywhere(design):
@@ -411,6 +436,38 @@ _ints = st.integers(min_value=0, max_value=2**20)
 def test_config_json_round_trip(config):
     doc = json.loads(json.dumps(config.to_json_dict()))
     assert CampaignConfig.from_json_dict(doc) == config
+
+
+_GOOD_FIELDS = {"scheme": "hfs", "fault_class": "transient",
+                "durations": (1, 2), "models": ("flip",),
+                "site_kinds": ("gate",), "start_cycles": (0, 3),
+                "stream": b"\x00\x53", "sample": 3, "seed": 7, "workers": 1}
+_scalars = (st.floats(allow_nan=False) | st.booleans() | st.none()
+            | st.integers(-3, 3)
+            | st.sampled_from(("", "hfs", "flip", "gate", "12", "bogus")))
+_wrong = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), inner,
+                                        max_size=2),
+                      max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_GOOD_FIELDS)), _wrong,
+                       min_size=1, max_size=3))
+def test_config_from_wrong_types_builds_and_round_trips_or_names_the_field(
+        wrong):
+    # Each drawn field takes a value of a wrong type (float, bool, str,
+    # list, dict, None, nested); the others keep valid ones.  Either the
+    # config builds and its file document reads back as it, or a
+    # ValueError names a drawn field.  No file records workers.
+    try:
+        config = CampaignConfig(**{**_GOOD_FIELDS, **wrong})
+    except ValueError as e:
+        assert any(name in str(e) for name in wrong), (wrong, str(e))
+        return
+    doc = json.loads(json.dumps(config.to_json_dict()))
+    assert CampaignConfig.from_json_dict(doc) == \
+        dataclasses.replace(config, workers=1)
 
 
 def test_campaign_counts_sum_and_coverage(design):

@@ -178,6 +178,14 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     pytest.param(["campaign", "--config",
                   {"scheme": "hfs", "models": "flip", "sample": 3}],
                  id="campaign --config models string"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "models": {"flip": 1}, "sample": 3}],
+                 id="campaign --config models dict"),
+    # A whole result document, whose config is its "config" member.
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "fault_class": "transient", "seed": 7,
+                   "config": {"scheme": "hfs", "sample": 3}, "counts": {}}],
+                 id="campaign --config result document"),
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
      "--workers", "0"],
     ["campaign", "--design", "hfs", "--fault", "transient", "--sample", "3",
@@ -358,6 +366,24 @@ def test_campaign_repeat_same_seed_byte_identical(tmp_path):
                      "--out-json", str(j), "--out-csv", str(c)]) == 0
         blobs.append((j.read_bytes(), c.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_campaign_replays_from_its_result_config(tmp_path):
+    # A result file's "config" member, given as --config, reruns the same
+    # campaign: the same JSON and CSV, byte for byte.
+    first = ["--out-json", str(tmp_path / "r.json"),
+             "--out-csv", str(tmp_path / "r.csv")]
+    assert main(["campaign", "--design", "hfs", "--fault", "transient",
+                 "--sample", "30", "--seed", "7", *first]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        json.loads((tmp_path / "r.json").read_text())["config"]))
+    assert main(["campaign", "--config", str(config),
+                 "--out-json", str(tmp_path / "replay.json"),
+                 "--out-csv", str(tmp_path / "replay.csv")]) == 0
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"replay.{ext}").read_bytes() == \
+            (tmp_path / f"r.{ext}").read_bytes()
 
 
 def test_report_formats_agree(tmp_path, capsys):

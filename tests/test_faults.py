@@ -299,7 +299,8 @@ def test_fault_set_composes_like_its_members_one_by_one(design, first,
             assert fs.latch_read(1, w) == want("voter_latch", w)
             assert fs.latch_read(0, w) == w
         assert fs.transform_regs(1, regs) == \
-            [want("register", w) if b == 1 else w for b, w in enumerate(regs)]
+            tuple(want("register", w) if b == 1 else w
+                  for b, w in enumerate(regs))
         assert fs.transform_regs(0, regs) == regs
         for err in (False, True):
             assert fs.du_apply(2, err) is bool(want("comparator", err))

@@ -253,15 +253,13 @@ def test_identical_scenarios_give_identical_traces(design):
 
 
 @pytest.mark.parametrize("scheme", ["hfs", "tmr"])
-def test_fault_free_replicas_stay_equal_in_separate_lists(design, scheme):
-    # A clean cycle evaluates equal replica inputs once and copies the
-    # result: after every step the replicas hold equal words, each in its
-    # own list, so no in-place write can couple them.
+def test_fault_free_replicas_stay_equal(design, scheme):
+    # A clean cycle evaluates equal replica inputs once: after every step
+    # the replicas hold equal words.
     m = make_machine(scheme, design)
     for _ in feed(m, random.Random(3).randbytes(300)):
         regs = [m.regs_a, m.regs_b] if scheme == "hfs" else m.regs
         assert all(r == regs[0] for r in regs)
-        assert len({id(r) for r in regs}) == len(regs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +291,24 @@ def test_restore_inverts_canonical_state(design, scheme):
         assert outputs == golden.outputs[before:]
         assert emitted_at == golden.emitted_at[before:]
     assert golden.states == golden_run(scheme, design, stream).states
+
+
+@pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
+def test_snapshot_is_the_state_itself(design, scheme):
+    # The state is immutable, so a snapshot shares its objects with the
+    # machine and restoring one copies nothing: after every step,
+    # restoring the machine to its own snapshot leaves each field the
+    # very object it was, fault-free and under a gate or register fault.
+    gate = design.netlist.gates[60].id
+    stream = list(random.Random(4).randbytes(20))
+    for spec in (None, FaultSpec(GateSite(gate, 0), "flip", 3, 4),
+                 FaultSpec(RegisterSite(2, 1, 0), "flip", 3, 4)):
+        m = make_machine(scheme, design,
+                         spec and ActiveFault(spec, design, scheme))
+        for _ in feed(m, stream):
+            state = m.canonical_state()
+            m.restore(state, m.cycle)
+            assert all(a is b for a, b in zip(m.canonical_state(), state))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +348,8 @@ def reference_machine(scheme, design, fault):
                     w = src[s - 1] if s else word
                     ov = kinds and self.fault.gate_overrides(s, r)
                     regs.append(p.interp(w, ov) if ov else p.fast(w))
-                out.append(regs)
-            return out
+                out.append(tuple(regs))
+            return tuple(out)
 
     return Reference(design, fault and EveryHook(fault))
 
