@@ -10,9 +10,10 @@ stage input word once (StageProgram.clean), and classifies the outcome:
   * detected_uncorrected - detection raised but the output stream still
     deviated or never completed
 
-Output comparison is value-sequence based for the stalling scheme (stall
-cycles are invisible in the value order) and position-based everywhere,
-which is the same thing for the fixed-latency machines.
+Each output is compared, as it is emitted, with the golden output at the
+same position: a machine's emitted counter numbers its outputs as the
+golden run's does, stalls and ttr replays included.  A scenario keeps
+only the cycle of its first deviation.
 
 Runs exit early once the faulted machine's state, at matching input
 position, equals the golden run's snapshot and the fault window has
@@ -23,12 +24,11 @@ and it is what makes exhaustive transient campaigns cheap.
 Before its first fault cycle a scenario is the golden run, so it does not
 re-simulate that clean prefix: it restores the machine to the golden
 snapshot at that cycle (the resume of checkpoint-based fault injection).
-The outputs emitted by then, base of them, are the golden run's, so it
-keeps only the outputs emitted after the resume and compares them with
-the golden outputs from position base on: no work grows with the prefix.
-A scenario that collects a trace still starts at cycle 0, with base 0, so
-the trace covers the whole run and the traced run stays the reference the
-tests compare the resume with.
+The outputs emitted by then are the golden run's, and the restored
+emitted counter puts the next output at the next golden position, so no
+work grows with the prefix.  A scenario that collects a trace still
+starts at cycle 0, so the trace covers the whole run and the traced run
+stays the reference the tests compare the resume with.
 
 A permanent fault never closes its window, so it never splices.  When it
 is the only fault, starts at cycle 0 and hits a fixed-latency scheme
@@ -172,24 +172,22 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
         # No fault is active before the first start, so until then the
         # faulted run is the golden run: resume from its snapshot.
         m.restore(golden.states[first], first)
-    base = m.emitted        # the outputs before the resume are golden's
-    outputs, emitted_at = [], []
 
-    window = 0
-    for s in specs:
-        window = max(window, 0 if s.duration is PERMANENT
-                     else s.start_cycle + s.duration)
+    window = max(0 if s.duration is PERMANENT else s.start_cycle + s.duration
+                 for s in specs)
     cap = golden.cycles + window + _MAX_EXTRA_CYCLES
 
     trace = [] if collect_trace else None
     detected = False
     spliced = False
+    first_bad = None
     for rec in feed(m, stream, cap):
         if rec.global_err:
             detected = True
-        if rec.output is not None:
-            outputs.append(rec.output)
-            emitted_at.append(rec.cycle)
+        # An output's golden position is emitted - 1 (module docstring).
+        if rec.output is not None and first_bad is None and \
+                rec.output != golden.outputs[m.emitted - 1]:
+            first_bad = rec.cycle
         if collect_trace:
             trace.append(rec)
             continue     # a requested trace must cover the whole run
@@ -197,22 +195,14 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
         # identical to the golden run at the same input position.
         if fault.expired(m.cycle) and not rec.global_err:
             idx = m.cycle - m.stall_cycles
-            if 0 <= idx < len(golden.states) and \
+            if idx < len(golden.states) and \
                     m.canonical_state() == golden.states[idx]:
                 spliced = True
                 break
 
-    deviation = _first_mismatch(outputs,
-                                golden.outputs[base:base + len(outputs)])
-    complete = spliced or base + len(outputs) == len(stream)
-
-    if deviation is not None:
-        first_bad = emitted_at[deviation]
+    if first_bad is not None or not (spliced or m.emitted == len(stream)):
         kind = DETECTED_UNCORRECTED if detected else SDC
         return Classification(kind, m.stall_cycles, first_bad), trace
-    if not complete:
-        kind = DETECTED_UNCORRECTED if detected else SDC
-        return Classification(kind, m.stall_cycles, None), trace
     if detected or m.stall_cycles:
         return Classification(DETECTED_CORRECTED, m.stall_cycles), trace
     return Classification(MASKED), trace
@@ -263,13 +253,6 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
             if bad >> (x & (n_lanes - 1)) & 1:
                 return Classification(SDC, 0, golden.emitted_at[i])
     return Classification(MASKED)
-
-
-def _first_mismatch(got, want) -> Optional[int]:
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +317,14 @@ class CampaignConfig:
             if unknown:
                 raise ValueError(f"unknown {what} {unknown[0]!r} in {name}; "
                                  f"expected one of {', '.join(known)}")
-        if self.stream is not None and not (
-                isinstance(self.stream, (bytes, bytearray)) and self.stream):
-            raise ValueError(f"stream must be nonempty bytes, got "
-                             f"{self.stream!r}")
+        if self.stream is not None:
+            if not (isinstance(self.stream, (bytes, bytearray))
+                    and self.stream):
+                raise ValueError(f"stream must be nonempty bytes, got "
+                                 f"{self.stream!r}")
+            # Kept as bytes: a caller's bytearray could change after this
+            # check, and would make the config unhashable.
+            object.__setattr__(self, "stream", bytes(self.stream))
         for name in ("seed", "workers"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got "
@@ -379,7 +366,14 @@ class CampaignConfig:
             raise ValueError(f"unknown config key {unknown[0]!r}; expected "
                              f"{', '.join(_JSON_FIELDS)} or stream_hex")
         if "stream_hex" in doc:
-            fields["stream"] = bytes.fromhex(doc["stream_hex"])
+            text = doc["stream_hex"]
+            try:
+                fields["stream"] = bytes.fromhex(text)
+            except (TypeError, ValueError):
+                fields["stream"] = None
+            if not fields["stream"]:
+                raise ValueError(f"stream_hex must be a nonempty hex "
+                                 f"string, got {text!r}")
         return cls(**fields)
 
 

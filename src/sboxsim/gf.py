@@ -147,11 +147,31 @@ def mat8_vec(rows: tuple[int, ...], x: int) -> int:
     return out
 
 
+def mat_apply(rows, v, zero=0) -> list:
+    """Apply a GF(2) matrix, given as row masks, to a vector of values that
+    XOR (row-bytes, or frozensets of wire ids with zero=frozenset()):
+    entry i is the XOR of the v[j] that rows[i] selects."""
+    out = []
+    for row in rows:
+        acc = zero
+        for j, vj in enumerate(v):
+            if row >> j & 1:
+                acc ^= vj
+        out.append(acc)
+    return out
+
+
+def mat_transpose(rows) -> tuple[int, ...]:
+    """The transpose of a square bit matrix, len(rows) row masks; given the
+    images of the basis vectors, it returns the matrix's rows."""
+    return tuple(sum((row >> i & 1) << j for j, row in enumerate(rows))
+                 for i in range(len(rows)))
+
+
 def mat8_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Matrix product a*b over GF(2), composing as maps: (a*b)(x) = a(b(x))."""
-    # Column j of the product is a applied to column j of b.
-    cols = [mat8_vec(a, _mat8_col(b, j)) for j in range(8)]
-    return _mat8_from_cols(cols)
+    """Matrix product a*b over GF(2), composing as maps: (a*b)(x) = a(b(x)).
+    Row i of a*b is the XOR of the rows of b that row i of a selects."""
+    return tuple(mat_apply(a, b))
 
 
 def mat8_inv(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,19 +189,6 @@ def mat8_inv(rows: tuple[int, ...]) -> tuple[int, ...]:
             if r != col and (aug[r] >> col) & 1:
                 aug[r] ^= aug[col]
     return tuple((aug[i] >> 8) & 0xFF for i in range(8))
-
-
-def _mat8_col(rows: tuple[int, ...], j: int) -> int:
-    col = 0
-    for i in range(8):
-        col |= ((rows[i] >> j) & 1) << i
-    return col
-
-
-def _mat8_from_cols(cols: list[int]) -> tuple[int, ...]:
-    return tuple(
-        sum(((cols[j] >> i) & 1) << j for j in range(8)) for i in range(8)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,7 @@ def derive_field_params(lam: int = 0xC, phi: int = 0x2,
     cols = [1]
     for _ in range(7):
         cols.append(_tower_mul_raw(cols[-1], g, lam, phi))
-    delta = _mat8_from_cols(cols)
+    delta = mat_transpose(cols)
     params = FieldParams(lam=lam, phi=phi, delta=delta, delta_inv=mat8_inv(delta))
     validate_params(params)
     return params

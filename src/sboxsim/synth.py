@@ -27,7 +27,7 @@ The returned netlist is checked against the published S-box table on all
 from __future__ import annotations
 
 from .gf import (FieldParams, InvalidParamsError, gf4_mul, gf16_square_scale,
-                 mat8_mul, sbox_reference)
+                 mat8_mul, mat_apply, mat_transpose, sbox_reference)
 from .netlist import Gate, Netlist
 
 
@@ -160,19 +160,6 @@ def _materialize(b: NetlistBuilder, syms: list[frozenset],
     return build_linear_block(b, rows, atoms, invert_mask)
 
 
-def _apply_gf4_linear(images: list[int], v: list[frozenset]) -> list[frozenset]:
-    """Apply a GF(2)-linear 2-bit map, given its images of basis 1 and w,
-    to a symbolic 2-bit value."""
-    out = []
-    for i in range(2):
-        acc = frozenset()
-        for j in range(2):
-            if (images[j] >> i) & 1:
-                acc ^= v[j]
-        out.append(acc)
-    return out
-
-
 def _kara4_products(b: NetlistBuilder, a2: list[int], c2: list[int],
                     sum_a: int, sum_c: int) -> list[frozenset]:
     """GF(2^2) Karatsuba multiplier: three AND products, result symbolic.
@@ -200,7 +187,8 @@ def _mul16_products(b: NetlistBuilder, a4: list[int], c4: list[int],
     mh = _kara4_products(b, a4[2:4], c4[2:4], a_sums[0], c_sums[0])
     ml = _kara4_products(b, a4[0:2], c4[0:2], a_sums[1], c_sums[1])
     ms = _kara4_products(b, a_half_sum, c_half_sum, a_sums[2], c_sums[2])
-    scaled = _apply_gf4_linear([gf4_mul(phi, 1), gf4_mul(phi, 2)], mh)
+    scaled = mat_apply(mat_transpose((gf4_mul(phi, 1), gf4_mul(phi, 2))),
+                       mh, frozenset())
     return [scaled[0] ^ ml[0], scaled[1] ^ ml[1],
             ms[0] ^ ml[0], ms[1] ^ ml[1]]
 
@@ -230,20 +218,12 @@ def synth_sbox(params: FieldParams) -> Netlist:
     # Front linear layer: rows of the basis change give lo (0..3) and hi
     # (4..7); the nibble sum and lam*hi^2 are linear in the input too, so
     # all 16 rows are factored jointly.
-    def rows_of(masks):
-        return [frozenset(x[j] for j in range(8) if (m >> j) & 1) for m in masks]
-
-    lo_rows = rows_of(params.delta[0:4])
-    hi_rows = rows_of(params.delta[4:8])
+    xs = [_wire(w) for w in x]
+    lo_rows = mat_apply(params.delta[0:4], xs, frozenset())
+    hi_rows = mat_apply(params.delta[4:8], xs, frozenset())
     sum_rows = [lo_rows[i] ^ hi_rows[i] for i in range(4)]
-    sq_cols = [gf16_square_scale(1 << j, params) for j in range(4)]
-    sq_rows = []
-    for i in range(4):
-        acc = frozenset()
-        for j in range(4):
-            if (sq_cols[j] >> i) & 1:
-                acc ^= hi_rows[j]
-        sq_rows.append(acc)
+    sq = mat_transpose([gf16_square_scale(1 << j, params) for j in range(4)])
+    sq_rows = mat_apply(sq, hi_rows, frozenset())
 
     fw = _materialize(b, lo_rows + hi_rows + sum_rows + sq_rows)
     lo, hi, nsum, sqscale = fw[0:4], fw[4:8], fw[8:12], fw[12:16]
@@ -270,7 +250,8 @@ def synth_sbox(params: FieldParams) -> Netlist:
     # delta_inv*(d_hi + d_lo)).
     prod = _kara4_products(b, d_half, d[0:2], sum_dhalf, sum_dlo)
     sq_scale_images = [gf4_mul(phi, 1), gf4_mul(phi, gf4_mul(2, 2))]
-    ph_sq = _apply_gf4_linear(sq_scale_images, [_wire(d[2]), _wire(d[3])])
+    ph_sq = mat_apply(mat_transpose(sq_scale_images),
+                      [_wire(d[2]), _wire(d[3])], frozenset())
     delta = [prod[0] ^ ph_sq[0], prod[1] ^ ph_sq[1]]
     delta_inv_syms = [delta[0] ^ delta[1], delta[1]]
     dinv2 = _materialize(b, delta_inv_syms)
@@ -290,13 +271,7 @@ def synth_sbox(params: FieldParams) -> Netlist:
                              dinv_sums, nsum_sums)
     sigma = out_lo + out_hi
     merged = mat8_mul(params.affine_a, params.delta_inv)
-    y_syms = []
-    for i in range(8):
-        acc = frozenset()
-        for j in range(8):
-            if (merged[i] >> j) & 1:
-                acc ^= sigma[j]
-        y_syms.append(acc)
+    y_syms = mat_apply(merged, sigma, frozenset())
     y = _materialize(b, y_syms, invert_mask=params.affine_b)
 
     nl = b.build(y)

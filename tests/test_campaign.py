@@ -155,9 +155,9 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
 @pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
 def test_resume_equals_run_from_cycle_zero_late_in_a_long_stream(design,
                                                                  scheme):
-    # A resumed scenario keeps only the outputs emitted after its resume
-    # point and compares them from golden position base on.  Here the
-    # prefix holds hundreds of outputs: single and two-fault scenarios
+    # A resumed scenario compares each output with the golden output at
+    # the position its restored emitted counter gives.  Here the prefix
+    # holds hundreds of outputs: single and two-fault scenarios
     # start in the last quarter of a 600-byte stream's golden run, and the
     # whole Classification must equal the traced run's, first_bad_cycle
     # included.
@@ -231,17 +231,20 @@ def test_unprotected_permanent_is_sdc(design, stream):
 
 
 def test_sdc_reports_first_bad_cycle(design):
+    # A 6-cycle flip corrupts several outputs; the first one is reported,
+    # and every output before it is golden.
     stream = list(range(256))
     golden = golden_run("original", design, stream)
-    spec = FaultSpec(RegisterSite(4, 0, 0), "flip", 9, 1)
-    cls, trace = run_scenario("original", design, stream, spec,
-                              collect_trace=True)
-    assert cls.kind == "sdc"
-    bad = [r for r in trace if r.cycle == cls.first_bad_cycle]
-    assert bad and bad[0].output is not None
-    idx = sum(1 for r in trace
-              if r.output is not None and r.cycle < cls.first_bad_cycle)
-    assert bad[0].output != golden.outputs[idx]
+    for duration in (1, 6):
+        spec = FaultSpec(RegisterSite(4, 0, 0), "flip", 9, duration)
+        cls, trace = run_scenario("original", design, stream, spec,
+                                  collect_trace=True)
+        assert cls.kind == "sdc"
+        got = [r for r in trace if r.output is not None]
+        wrong = [r.cycle for r, want in zip(got, golden.outputs)
+                 if r.output != want]
+        assert len(wrong) >= (2 if duration > 1 else 1)
+        assert cls.first_bad_cycle == wrong[0]
 
 
 def test_splice_equals_full_run(design):
@@ -383,10 +386,16 @@ def test_config_rejects_non_integer_windows_seed_and_workers(field, bad):
         assert repr(bad) in str(e.value)    # whole, not letter by letter
 
 
-def test_config_keeps_lists_as_tuples_and_a_bytearray_stream():
+def test_config_keeps_lists_as_tuples_and_a_bytearray_stream_as_bytes():
+    stream = bytearray(b"ab")
     config = CampaignConfig(scheme="hfs", durations=[1, 2],
-                            start_cycles=[0], stream=bytearray(b"ab"))
+                            start_cycles=[0], stream=stream)
     assert config.durations == (1, 2) and config.start_cycles == (0,)
+    assert type(config.stream) is bytes
+    assert hash(config) == hash(CampaignConfig(
+        scheme="hfs", durations=(1, 2), start_cycles=(0,), stream=b"ab"))
+    stream[0] = 0       # a later change to the caller's buffer
+    assert config.stream == b"ab"
     doc = json.loads(json.dumps(config.to_json_dict()))
     assert CampaignConfig.from_json_dict(doc) == config
 
@@ -401,6 +410,14 @@ def test_config_file_rejects_unknown_keys():
                      ({"scheme": "hfs", "stream": "00"}, "stream")):
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             CampaignConfig.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("text", [5, "zz", None, "", ["00"], "0"])
+def test_config_file_rejects_a_stream_hex_that_is_no_hex_bytes(text):
+    with pytest.raises(ValueError) as e:
+        CampaignConfig.from_json_dict({"scheme": "hfs", "stream_hex": text})
+    assert str(e.value) == (f"stream_hex must be a nonempty hex string, "
+                            f"got {text!r}")
 
 
 def test_unknown_scheme_is_rejected_alike_everywhere(design):

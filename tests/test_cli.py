@@ -173,6 +173,11 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
     pytest.param(["campaign", "--config",
                   {"scheme": "hfs", "stream_hex": ""}],
                  id="campaign --config empty stream"),
+    pytest.param(["campaign", "--config", {"scheme": "hfs", "stream_hex": 5}],
+                 id="campaign --config stream_hex int"),
+    pytest.param(["campaign", "--config",
+                  {"scheme": "hfs", "stream_hex": "zz"}],
+                 id="campaign --config stream_hex not hex"),
     pytest.param(["campaign", "--config", {"scheme": "bogus"}],
                  id="campaign --config scheme bogus"),
     pytest.param(["campaign", "--config",

@@ -1,6 +1,8 @@
 """Field-core tests: exhaustive axioms at every tower level plus the
 published S-box table as the independent oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -221,6 +223,15 @@ def test_mat8_inverse_roundtrip():
     assert mat8_mul(P.delta, P.delta_inv) == ident
     assert mat8_mul(P.delta_inv, P.delta) == ident
     assert mat8_inv(P.delta) == P.delta_inv
+
+
+def test_mat8_mul_composes_as_maps():
+    rng = random.Random(0x5B0C)
+    for _ in range(200):
+        a = tuple(rng.randrange(256) for _ in range(8))
+        b = tuple(rng.randrange(256) for _ in range(8))
+        x = rng.randrange(256)
+        assert mat8_vec(mat8_mul(a, b), x) == mat8_vec(a, mat8_vec(b, x))
 
 
 def test_default_params_survive_validation():

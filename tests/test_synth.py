@@ -1,10 +1,13 @@
 """Synthesized S-box netlist: exhaustive oracle, area band, structure."""
 
+import hashlib
+
 import pytest
 
 from sboxsim.gf import (DEFAULT_PARAMS, FieldParams, InvalidParamsError,
                         derive_field_params, sbox_reference)
 from sboxsim.netlist import area_ge, critical_path_delay, logic_depth
+from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import NetlistBuilder, build_linear_block, synth_sbox
 
 
@@ -34,6 +37,14 @@ def test_area_in_expected_band(sbox_netlist):
     # family; the absolute number depends on the cell library.
     ge = area_ge(sbox_netlist)
     assert 150.0 <= ge <= 280.0, f"area {ge:.2f} GE out of band"
+
+
+def test_default_design_is_pinned(sbox_netlist):
+    # Every artifact and reference row depends on this exact design; the
+    # area band above would let a different netlist through.
+    doc = cut_pipeline(sbox_netlist, 5).to_json().encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "88d7f2912649a1b47e4bd723ddaa6af45ce84dc02e06832e4f0d69b1fc999d10")
 
 
 def test_corrupted_params_raise(sbox_netlist):
