@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -469,7 +470,8 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
 
     Scenario order, and therefore the result file contents, depend only
     on the design and the configuration (plus the seed for sampled runs).
-    Worker parallelism changes nothing but the wall time.
+    Worker parallelism changes nothing but the wall time; it starts at
+    most one process per scenario and per CPU.
     """
     specs = enumerate_scenarios(design, config)
     stream = config.resolved_stream()
@@ -477,7 +479,7 @@ def run_campaign(design: PipelineDesign, config: CampaignConfig,
     _check_start(max(config.resolved_starts(design)), golden)
 
     classifications: list[Classification]
-    nw = min(config.workers, len(specs))
+    nw = min(config.workers, len(specs), os.cpu_count() or 1)
     if nw > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunks = [specs[i::nw] for i in range(nw)]

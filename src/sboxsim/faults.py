@@ -21,19 +21,20 @@ left untouched, so a fault's effect ends with its window.
 
 A site exists in a design and scheme when enumerate_sites lists it;
 nothing else says which sites exist.  It lists them from the scheme's
-record in SCHEMES, the one table of what each scheme builds.  Binding a spec to a design and
-scheme (ActiveFault) looks its site up there and turns it into a table
-for its site kind.  Every table entry is one (and, or, xor) mask triple,
-read as (word & and | or) ^ xor: stuck-at-0 on the bits m is (~m, 0, 0),
-stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).  Gate tables hold
-override sets of (gate id, triple on bit 0) per (stage, replica);
-register tables a triple per (replica, boundary), comparator tables one
-per stage (on bit 0), and latch tables one per voter-latch boundary.
-The five hooks the machines call are lookups in these tables, and a
-FaultSet merges its active members' tables into its own: a later gate
-fault replaces an earlier one on the same gate, and triples on one word
-compose in list order.  Hooks answer for the cycle last passed to
-active(), which the machines call first in every cycle.
+record in SCHEMES, the one table of what each scheme builds.  Binding a
+spec to a design and scheme (ActiveFault) looks its site up there and
+turns it into one entry of a table keyed by (kind, replica, stage), with
+replica 0 for comparators and latches.  A word entry is one (and, or,
+xor) mask triple, read as (word & and | or) ^ xor: stuck-at-0 on the
+bits m is (~m, 0, 0), stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).
+A register entry's stage is its boundary, and a comparator's triple acts
+on bit 0.  A gate entry is keyed by its gate's stage and holds the
+override set {(gate id, triple on bit 0)}.  The five hooks the machines
+call are lookups in this table, and a FaultSet merges its active
+members' tables into its own: a later gate fault replaces an earlier one
+on the same gate, and triples on one word compose in list order.  Hooks
+answer for the cycle last passed to active(), which the machines call
+first in every cycle.
 """
 
 from __future__ import annotations
@@ -244,35 +245,32 @@ def _then(t: tuple, u: tuple) -> tuple:
     return a & a2, o & a2 | o2, x & a2 & ~o2 ^ x2
 
 
-def _then_gates(ov: frozenset, later: frozenset) -> frozenset:
-    """ov's overrides, with later's replacing those on the same gate."""
-    return frozenset({**dict(ov), **dict(later)}.items())
-
-
-def _merged(tables, then) -> dict:
-    """One table from several, their entries for one key joined in order
-    by then."""
+def _merged(tables) -> dict:
+    """One table from several, their entries for one key joined in order:
+    a later gate override replaces an earlier one on the same gate, and
+    triples on one word compose with _then."""
     out = {}
     for table in tables:
         for key, v in table.items():
-            out[key] = then(out[key], v) if key in out else v
+            if key in out:
+                v = (frozenset({**dict(out[key]), **dict(v)}.items())
+                     if key[0] == "gate" else _then(out[key], v))
+            out[key] = v
     return out
 
 
 class ActiveFault:
-    """One FaultSpec bound to a design and scheme, as hook tables.
+    """One FaultSpec bound to a design and scheme, as a one-entry table
+    keyed by (kind, replica, stage) (see the module docstring).
 
     Machines call active(cycle) once per cycle and consult the hooks only
     while it is true.  Hooks are read transforms: they never modify
     stored state.  kinds holds the site's kind; each hook is the identity
-    for sites of any other kind (its table is empty), so machines call
-    only the hooks of the kinds a fault has (gate: gate_overrides;
-    register: transform_regs and reg_read; comparator: du_apply;
-    voter_latch: latch_read).
+    for sites of any other kind (it finds no entry of its own kind), so
+    machines call only the hooks of the kinds a fault has (gate:
+    gate_overrides; register: transform_regs and reg_read; comparator:
+    du_apply; voter_latch: latch_read).
     """
-
-    # Tables of the kinds a fault does not have: one shared empty dict.
-    _gates = _regs = _du = _latches = {}
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
         site = spec.site
@@ -282,18 +280,14 @@ class ActiveFault:
         self.start = spec.start_cycle
         self.end = (None if spec.duration is PERMANENT
                     else spec.start_cycle + spec.duration)
-        t = _triple(spec.model, 1 << getattr(site, "bit", 0))
+        entry = _triple(spec.model, 1 << getattr(site, "bit", 0))
         if site.kind == "gate":
             stage = design.stage_of_gate[site.gate_id
                                          - len(design.netlist.inputs)]
-            self._gates = {(stage, site.replica):
-                           frozenset({(site.gate_id, t)})}
-        elif site.kind == "register":
-            self._regs = {(site.replica, site.stage): t}
-        elif site.kind == "comparator":
-            self._du = {site.stage: t}
+            entry = frozenset({(site.gate_id, entry)})
         else:
-            self._latches = {site.stage: t}
+            stage = site.stage
+        self._table = {(site.kind, getattr(site, "replica", 0), stage): entry}
         self.kinds = frozenset((site.kind,))
 
     def active(self, cycle: int) -> bool:
@@ -306,27 +300,29 @@ class ActiveFault:
     # consulted while it was true, so they skip the window check.
 
     def gate_overrides(self, stage: int, replica: int) -> Optional[frozenset]:
-        return self._gates.get((stage, replica))
+        return self._table.get(("gate", replica, stage))
 
     def transform_regs(self, replica: int, regs: tuple) -> tuple:
         """regs as the replica reads them: a new tuple if a word of it is
         faulted, else regs itself.  regs is never written."""
-        for (r, b), (a, o, x) in self._regs.items():
-            if r == replica and b < len(regs):
+        for (kind, r, b), t in self._table.items():
+            if kind == "register" and r == replica and b < len(regs):
+                a, o, x = t
                 regs = (*regs[:b], (regs[b] & a | o) ^ x, *regs[b + 1:])
         return regs
 
-    def reg_read(self, replica: int, boundary: int, word: int) -> int:
-        t = self._regs.get((replica, boundary))
+    def _read(self, key: tuple, word: int) -> int:
+        t = self._table.get(key)
         return word if t is None else (word & t[0] | t[1]) ^ t[2]
+
+    def reg_read(self, replica: int, boundary: int, word: int) -> int:
+        return self._read(("register", replica, boundary), word)
 
     def du_apply(self, stage: int, err: bool) -> bool:
-        t = self._du.get(stage)
-        return err if t is None else bool((err & t[0] | t[1]) ^ t[2])
+        return bool(self._read(("comparator", 0, stage), err))
 
     def latch_read(self, boundary: int, word: int) -> int:
-        t = self._latches.get(boundary)
-        return word if t is None else (word & t[0] | t[1]) ^ t[2]
+        return self._read(("voter_latch", 0, boundary), word)
 
 
 class FaultSet(ActiveFault):
@@ -345,7 +341,8 @@ class FaultSet(ActiveFault):
             raise ValueError("empty fault set")
         self.faults = list(faults)
         self.kinds = frozenset().union(*(f.kinds for f in self.faults))
-        self._live = ()     # the members the tables were merged from
+        self._live = ()     # the members the table was merged from
+        self._table = {}
 
     @classmethod
     def bind(cls, specs, design: PipelineDesign, scheme: str) -> "FaultSet":
@@ -355,10 +352,7 @@ class FaultSet(ActiveFault):
         live = tuple(f for f in self.faults if f.active(cycle))
         if live != self._live:
             self._live = live
-            self._gates = _merged((f._gates for f in live), _then_gates)
-            self._regs = _merged((f._regs for f in live), _then)
-            self._du = _merged((f._du for f in live), _then)
-            self._latches = _merged((f._latches for f in live), _then)
+            self._table = _merged(f._table for f in live)
         return bool(live)
 
     def expired(self, cycle: int) -> bool:

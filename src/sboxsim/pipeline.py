@@ -117,8 +117,8 @@ class PipelineDesign:
 
 def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
                   n_stages: int):
-    """Assign stages under a per-stage delay budget; None if it needs more
-    than n_stages."""
+    """Each gate's stage under a per-stage delay budget; None if it needs
+    more than n_stages."""
     n_in = len(netlist.inputs)
     stage = [0] * netlist.signal_count
     arrive = [0.0] * netlist.signal_count
@@ -140,7 +140,7 @@ def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
             return None
         stage[g.id] = s
         arrive[g.id] = a
-    return stage[n_in:], arrive
+    return stage[n_in:]
 
 
 def _stage_delays_of(netlist: Netlist, delays: list[float],
@@ -243,7 +243,7 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
 
     lo = max((delays[g.id] for g in netlist.gates), default=0.0)
     hi = critical_path_delay(netlist, costs)
-    best = _greedy_level(netlist, delays, hi, n_stages)
+    stage_of_gate = _greedy_level(netlist, delays, hi, n_stages)
     for _ in range(60):
         mid = (lo + hi) / 2
         attempt = _greedy_level(netlist, delays, mid, n_stages)
@@ -251,8 +251,7 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
             lo = mid
         else:
             hi = mid
-            best = attempt
-    stage_of_gate = list(best[0])
+            stage_of_gate = attempt
 
     # The width pass may spend up to 30% delay slack over the balanced
     # optimum; register bits are the dominant cost of a protected pipeline,

@@ -4,6 +4,7 @@ aggregation, file formats."""
 import concurrent.futures
 import dataclasses
 import json
+import os
 import pickle
 import random
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sboxsim import campaign
-from sboxsim.campaign import (CampaignConfig, EmptyCampaignError,
-                              default_stream, enumerate_scenarios,
-                              golden_run, run_campaign, run_scenario)
+from sboxsim.campaign import (CampaignConfig, Classification,
+                              EmptyCampaignError, default_stream,
+                              enumerate_scenarios, golden_run, run_campaign,
+                              run_scenario)
 from sboxsim.faults import (FLIP, MODELS, SITE_KINDS, FaultSpec, GateSite,
                             InvalidFaultError, PERMANENT, RegisterSite,
                             enumerate_sites)
@@ -31,6 +33,21 @@ def design():
 @pytest.fixture(scope="module")
 def stream():
     return list(range(48))
+
+
+def assert_engine_matches_trace(scheme, design, stream, specs, golden):
+    """Each spec (a FaultSpec or a list of them) gets the same whole
+    Classification from the engine run_scenario picks untraced (lane
+    pass, resume, splice) as from the traced run from cycle 0, the
+    reference.  Returns the untraced classifications."""
+    fast = []
+    for spec in specs:
+        got = run_scenario(scheme, design, stream, spec, golden)[0]
+        want = run_scenario(scheme, design, stream, spec, golden,
+                            collect_trace=True)[0]
+        assert got == want, (scheme, str(spec))
+        fast.append(got)
+    return fast
 
 
 def test_default_stream_layout():
@@ -69,15 +86,12 @@ def test_permanent_lane_path_equals_cycle_loop(design, scheme, monkeypatch):
     golden = golden_run(scheme, design, stream)
     specs = enumerate_scenarios(
         design, CampaignConfig(scheme=scheme, fault_class="permanent"))
-    with monkeypatch.context() as mp:
-        mp.setattr(campaign, "make_machine", None)
-        fast = [(str(spec), run_scenario(scheme, design, stream, spec,
-                                         golden)[0])
-                for spec in specs]
-    slow = [(str(spec), run_scenario(scheme, design, stream, spec, golden,
-                                     collect_trace=True)[0])
-            for spec in specs]
-    assert fast == slow
+    lane = []
+    monkeypatch.setattr(campaign, "_classify_permanent",
+                        lambda *a, fn=campaign._classify_permanent:
+                        lane.append(a) or fn(*a))
+    assert_engine_matches_trace(scheme, design, stream, specs, golden)
+    assert len(lane) == len(specs)
 
 
 def test_other_scenarios_keep_the_cycle_loop(design, stream, monkeypatch):
@@ -134,10 +148,6 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     pairs = [rng.sample(specs, 2) for _ in range(60)]
     specs += [[a, b] for a, b in pairs if a.start_cycle != b.start_cycle]
 
-    def classify(spec, trace):
-        return run_scenario(scheme, design, stream, spec, golden,
-                            collect_trace=trace)[0]
-
     def first_start(spec):
         return min(s.start_cycle for s in
                    (spec if isinstance(spec, list) else [spec]))
@@ -146,10 +156,11 @@ def test_resume_equals_run_from_cycle_zero(design, scheme):
     for spec in late:
         for trace in (False, True):
             with pytest.raises(InvalidFaultError):
-                classify(spec, trace)
-    specs = [spec for spec in specs if first_start(spec) < end]
-    resumed = [classify(spec, False) for spec in specs]
-    assert resumed == [classify(spec, True) for spec in specs]
+                run_scenario(scheme, design, stream, spec, golden,
+                             collect_trace=trace)
+    assert_engine_matches_trace(scheme, design, stream,
+                                [spec for spec in specs
+                                 if first_start(spec) < end], golden)
 
 
 @pytest.mark.parametrize("scheme", ["original", "hfs", "tmr", "ttr"])
@@ -175,12 +186,8 @@ def test_resume_equals_run_from_cycle_zero_late_in_a_long_stream(design,
                          duration)
     specs = [late_spec() for _ in range(28)]
     specs += [[late_spec(), late_spec()] for _ in range(12)]
-
-    def classify(spec, trace):
-        return run_scenario(scheme, design, stream, spec, golden,
-                            collect_trace=trace)[0]
-    resumed = [classify(spec, False) for spec in specs]
-    assert resumed == [classify(spec, True) for spec in specs]
+    resumed = assert_engine_matches_trace(scheme, design, stream, specs,
+                                          golden)
     if scheme == "original":
         assert any(c.first_bad_cycle is not None for c in resumed)
 
@@ -250,36 +257,31 @@ def test_sdc_reports_first_bad_cycle(design):
 def test_splice_equals_full_run(design):
     # The convergence early-exit must classify identically to a full run;
     # collect_trace=True disables the splice, giving the full-run answer.
+    # The last case is a fault pair whose stall count still grows after
+    # its first wrong output: a run that stops there reads 2 stalls.
     stream = list(range(64))
     golden = golden_run("hfs", design, stream)
-    for gate_pos in (3, 47, 99, 133):
-        spec = FaultSpec(GateSite(design.netlist.gates[gate_pos].id, 1),
-                         "flip", 6, 2)
-        fast, _ = run_scenario("hfs", design, stream, spec, golden)
-        slow, _ = run_scenario("hfs", design, stream, spec, golden,
-                               collect_trace=True)
-        assert fast == slow
+    specs = [FaultSpec(GateSite(design.netlist.gates[gate_pos].id, 1),
+                       "flip", 6, 2) for gate_pos in (3, 47, 99, 133)]
+    specs.append([FaultSpec(RegisterSite(4, 7, 1), "flip", 6, 5),
+                  FaultSpec(GateSite(141, 0), "sa1", 7, 2)])
+    got = assert_engine_matches_trace("hfs", design, stream, specs, golden)
+    assert got[-1] == Classification("detected_uncorrected", 3, 8)
 
 
 def test_splice_equals_full_run_broad_sample(design):
     # Same equivalence over a seeded sample of sites, models, durations,
     # phases and schemes; the early exit must never change a verdict.
-    import random
-    from sboxsim.faults import enumerate_sites
     rng = random.Random(42)
     stream = list(range(48))
     for scheme in ("original", "hfs", "tmr", "ttr"):
-        golden = golden_run(scheme, design, stream)
         sites = enumerate_sites(design, scheme)
-        for _ in range(18):
-            spec = FaultSpec(rng.choice(sites),
-                             rng.choice(("flip", "sa0", "sa1")),
-                             rng.randrange(0, 10),
-                             rng.choice((1, 2, 3, 7)))
-            fast, _ = run_scenario(scheme, design, stream, spec, golden)
-            slow, _ = run_scenario(scheme, design, stream, spec, golden,
-                                   collect_trace=True)
-            assert fast == slow, (scheme, str(spec))
+        specs = [FaultSpec(rng.choice(sites),
+                           rng.choice(("flip", "sa0", "sa1")),
+                           rng.randrange(0, 10), rng.choice((1, 2, 3, 7)))
+                 for _ in range(18)]
+        assert_engine_matches_trace(scheme, design, stream, specs,
+                                    golden_run(scheme, design, stream))
 
 
 def test_scenario_grid_shape(design):
@@ -531,11 +533,12 @@ class _InProcessPool:
         return future
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 5000])
 def test_campaign_asks_no_more_workers_than_scenarios(design, monkeypatch,
                                                       workers):
-    # Three scenarios: a pool of min(workers, 3) processes, one chunk each,
-    # and none at all for one worker; the rows never change.
+    # Three scenarios: a pool of min(workers, 3, CPUs) processes, one
+    # chunk each, and none at all for one worker or one CPU; the rows
+    # never change.  The CPU count is patched, so no host decides it.
     pools = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _InProcessPool(pools,
@@ -544,11 +547,14 @@ def test_campaign_asks_no_more_workers_than_scenarios(design, monkeypatch,
                          seed=5)
     serial = run_campaign(design, cfg)
     assert not pools
-    res = run_campaign(design, dataclasses.replace(cfg, workers=workers))
-    nw = min(workers, 3)
-    assert [(p.max_workers, p.submits) for p in pools] == \
-        ([(nw, nw)] if nw > 1 else [])
-    assert res.rows == serial.rows
+    for cpus in (1, 2, 64, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        res = run_campaign(design, dataclasses.replace(cfg, workers=workers))
+        nw = min(workers, 3, cpus or 1)
+        assert [(p.max_workers, p.submits) for p in pools] == \
+            ([(nw, nw)] if nw > 1 else []), cpus
+        assert res.rows == serial.rows
 
 
 def test_campaign_files_byte_identical(design, tmp_path):
@@ -744,6 +750,49 @@ def test_double_fault_classified_honestly(design):
     cls, _ = run_scenario("hfs", design, stream, double)
     assert cls.kind == "detected_uncorrected"
     assert cls.first_bad_cycle is not None
+
+
+def test_one_fault_per_stage_in_any_replicas_is_corrected(design):
+    # The paper corrects faults "in each pipeline stage": sets of two to
+    # n_stages faults, at most one gate or register fault per stage (a
+    # register counts with the stage that writes it), each in either
+    # replica, under every model, with starts up to 8 cycles apart.  A
+    # seeded sample, not a proof.
+    stream = default_stream()
+    golden = golden_run("hfs", design, stream)
+    n_in = len(design.netlist.inputs)
+    by_stage = [[RegisterSite(s, b, 0) for b in range(len(cut))]
+                for s, cut in enumerate(design.cuts)]
+    for g in design.netlist.gates:
+        by_stage[design.stage_of_gate[g.id - n_in]].append(GateSite(g.id))
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(1600):
+        base = rng.randrange(300)
+        specs = [FaultSpec(dataclasses.replace(rng.choice(by_stage[s]),
+                                               replica=rng.randrange(2)),
+                           rng.choice(MODELS), base + rng.randrange(9),
+                           rng.choice((1, 2, 5, 10)))
+                 for s in rng.sample(range(design.n_stages),
+                                     rng.randint(2, design.n_stages))]
+        cls = run_scenario("hfs", design, stream, specs, golden)[0]
+        assert cls.kind in ("masked", "detected_corrected"), \
+            ([str(s) for s in specs], cls)
+        kinds.add(cls.kind)
+    assert "detected_corrected" in kinds
+
+
+def test_faults_in_one_stage_of_both_replicas_defeat_detection(design):
+    # Where correction ends: the two replicas go wrong alike, so their
+    # registers agree and no error is raised.  No fault in the checking
+    # machinery is needed.
+    common = [FaultSpec(GateSite(8, r), FLIP, 3, 1) for r in (0, 1)]
+    assert run_scenario("hfs", design, list(range(64)), common)[0] == \
+        Classification("sdc", 0, 8)
+    apart = [FaultSpec(GateSite(126, 0), FLIP, 5, 1),
+             FaultSpec(GateSite(125, 1), FLIP, 5, 1)]
+    assert run_scenario("hfs", design, default_stream(), apart)[0] == \
+        Classification("sdc", 0, 6)
 
 
 def test_correction_guarantee_holds_for_stuck_at_transients(design):
