@@ -19,7 +19,10 @@ Runs exit early once the faulted machine's state, at matching input
 position, equals the golden run's snapshot and the fault window has
 closed: from that point both futures are bit-identical, so the remaining
 golden outputs are spliced in.  This is an exact check, not a heuristic,
-and it is what makes exhaustive transient campaigns cheap.
+and it is what makes exhaustive transient campaigns cheap.  A scheme
+that never stalls (original, tmr, ttr) raises no error either, so an
+untraced run of it also stops at its first wrong output, which decides
+the row whatever follows: sdc, no stalls, that cycle (fault dropping).
 
 Before its first fault cycle a scenario is the golden run, so it does not
 re-simulate that clean prefix: it restores the machine to the golden
@@ -162,9 +165,10 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     _check_start(first, golden)
     fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1
              else ActiveFault(specs[0], design, scheme))
+    stalls = SCHEMES[scheme].stalls
     if (len(specs) == 1 and not collect_trace
             and specs[0].duration is PERMANENT and specs[0].start_cycle == 0
-            and not SCHEMES[scheme].stalls
+            and not stalls
             and len(design.netlist.inputs) <= _MAX_LANE_INPUTS):
         return _classify_permanent(scheme, design, stream, fault, golden,
                                    programs), None
@@ -192,6 +196,10 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
         if collect_trace:
             trace.append(rec)
             continue     # a requested trace must cover the whole run
+        # A scheme that never stalls raises no error either, so its first
+        # wrong output decides the row: sdc, no stalls, that cycle.
+        if first_bad is not None and not stalls:
+            break
         # Exact convergence check: fault gone, machine unstalled, state
         # identical to the golden run at the same input position.
         if fault.expired(m.cycle) and not rec.global_err:

@@ -25,8 +25,10 @@ that slot's value for input value x, so one call evaluates the stage for
 every input value (2**n_inputs lanes; 256 for the S-box).  The all-ones
 lane mask stands in for the gate table's constant one, and a forced gate
 is read through its triple with each mask widened from bit 0 to 0 or the
-lane mask.  Lane variants are compiled and cached per override set, and
-the tests check each against the scalar masked body.
+lane mask.  A lane variant is compiled once per set of forced gates and
+reads their widened triples from a dict argument, as the masked body
+reads F, so stuck-at-0, stuck-at-1 and flip on one gate share one
+variant; the tests check each against the scalar masked body.
 """
 
 from __future__ import annotations
@@ -312,7 +314,10 @@ class StageProgram:
     every set runs the one masked body.
     lanes(words, overrides) is the bit-sliced mode: words holds one int per
     boundary slot whose bit x is that slot's value for input value x, and
-    it returns the captured slot words as a tuple.
+    it returns the captured slot words as a tuple.  It runs the lane
+    variant of the override set's forced gates, compiled once per such
+    gate set, on a dict of their widened triples built once per override
+    set.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -332,41 +337,41 @@ class StageProgram:
         self.n_lanes = 1 << n_in
         self._masked = None          # compiled on the first faulted call
         self._triples: dict = {}     # override set -> {gate id: triple}
-        # Lane mode still compiles one variant per override set, once per
-        # design: later campaigns on the design reuse the variants.
-        # One masked lane body per stage in their place ran perfbench's
+        # Lane mode still compiles one variant per set of forced gates,
+        # once per design: later campaigns on the design reuse them.  One
+        # masked lane body per stage in their place ran perfbench's
         # permanent_fixed_latency at 2.6-2.8x the scenarios/s, and since
         # perfbench's measure() keeps a float per timed scenario, its
         # peak RSS then passed its bound (+27-29%; ROADMAP item 1).
-        self._lane_variants: dict = {}
+        self._lane_variants: dict = {}   # forced gate ids -> variant
+        self._lane_calls: dict = {}      # override set -> (variant, masks)
         self.fast = self._compile()
         # fast is looked up on each miss, so a wrapped fast sees them all.
         self.clean = cache(lambda prev: self.fast(prev))
 
-    def _compile(self, overrides: frozenset = frozenset(),
+    def _compile(self, forced: frozenset = frozenset(),
                  lanes: bool = False, masked: bool = False):
         """One stage as Python source: packed bits in and out, or, with
         lanes, a tuple of slot words in and out where the lane mask m
-        stands for the constant one.  Each gate in overrides is read
-        through its triple, each mask cut to 0 or the one by its bit 0.
-        The masked body takes a second argument F, a dict from gate id to
-        an (and, or, xor) triple, and reads each gate in F as
-        (value & and | or) ^ xor."""
-        forced = dict(overrides)
+        stands for the constant one.  The masked body takes a second
+        argument F, a dict from gate id to an (and, or, xor) triple, and
+        reads each gate in F as (value & and | or) ^ xor.  A lane body
+        takes F too, and reads each gate in forced, a set of gate ids,
+        through F's triple for it."""
         one = "m" if lanes else "1"
         local = {g.id for g in self.gates}
         reads = {f for g in self.gates for f in g.fanin if f not in local}
         read = "r[{}]" if lanes else "((r >> {}) & 1)"
-        lines = ["def _stage(r, F):" if masked else "def _stage(r):"]
+        lines = ["def _stage(r, F):" if masked or lanes
+                 else "def _stage(r):"]
         for sig in sorted(reads):
             lines.append(f"    s{sig} = " + read.format(self.prev_slot[sig]))
         for g in self.gates:
             expr = GATES[g.kind][1].format(*[f"s{f}" for f in g.fanin],
                                            one=one)
-            ov = forced.get(g.id)
-            if ov is not None:
-                a, o, x = (one if v & 1 else "0" for v in ov)
-                expr = f"(({expr}) & {a} | {o}) ^ {x}"
+            if g.id in forced:
+                lines.append(f"    a, o, x = F[{g.id}]")
+                expr = f"(({expr}) & a | o) ^ x"
             lines.append(f"    s{g.id} = {expr}")
             if masked:
                 lines += [f"    if {g.id} in F:",
@@ -395,11 +400,19 @@ class StageProgram:
         return self._masked(prev, triples)
 
     def lanes(self, words: tuple, overrides: frozenset) -> tuple:
-        fn = self._lane_variants.get(overrides)
-        if fn is None:
-            fn = self._lane_variants[overrides] = self._compile(overrides,
-                                                                True)
-        return fn(words)
+        call = self._lane_calls.get(overrides)
+        if call is None:
+            # Each mask widened from its bit 0 to 0 or the lane mask.
+            m = (1 << self.n_lanes) - 1
+            masks = {g: tuple(m if v & 1 else 0 for v in t)
+                     for g, t in overrides}
+            forced = frozenset(masks)
+            fn = self._lane_variants.get(forced)
+            if fn is None:
+                fn = self._lane_variants[forced] = self._compile(forced, True)
+            call = self._lane_calls[overrides] = (fn, masks)
+        fn, masks = call
+        return fn(words, masks)
 
 
 def build_stage_programs(design: PipelineDesign) -> list[StageProgram]:

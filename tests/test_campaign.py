@@ -7,6 +7,8 @@ import json
 import os
 import pickle
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,22 @@ def test_permanent_lane_path_equals_cycle_loop(design, scheme, monkeypatch):
                         lane.append(a) or fn(*a))
     assert_engine_matches_trace(scheme, design, stream, specs, golden)
     assert len(lane) == len(specs)
+
+
+@pytest.mark.parametrize("scheme", ["original", "ttr"])
+def test_first_wrong_output_stop_equals_cycle_loop(design, scheme):
+    # A scheme that never stalls stops an untraced run at its first wrong
+    # output; the traced run goes on to the end.  The whole gate and
+    # register permanent grid from starts that take the cycle loop: 1, n,
+    # mid-stream, and the last cycle of the fault-free run.
+    stream = random.Random(7).sample(range(256), 12)
+    golden = golden_run(scheme, design, stream)
+    starts = (1, design.n_stages, golden.cycles // 2, golden.cycles - 1)
+    specs = enumerate_scenarios(design, CampaignConfig(
+        scheme=scheme, fault_class="permanent",
+        site_kinds=("gate", "register"), start_cycles=starts))
+    got = assert_engine_matches_trace(scheme, design, stream, specs, golden)
+    assert {c.kind for c in got} == {"masked", "sdc"}
 
 
 def test_other_scenarios_keep_the_cycle_loop(design, stream, monkeypatch):
@@ -615,8 +633,10 @@ def test_campaigns_on_one_design_share_its_programs_exactly(design, tmp_path,
                                                             monkeypatch):
     # Original, tmr and ttr permanent campaigns back to back on one design,
     # as Acceptance 4 and perfbench's permanent_fixed_latency run them: the
-    # later ones reuse the first one's compiled bodies, lane variants and
-    # clean tables, and write the bytes each writes on a design of its own.
+    # first compiles one fault-free body and one clean lane body per stage
+    # and one lane variant per gate, shared by its sa0 and sa1 faults; the
+    # later ones compile nothing, reusing those and the clean tables, and
+    # write the bytes each writes on a design of its own.
     configs = [
         CampaignConfig(scheme="original", fault_class="permanent"),
         CampaignConfig(scheme="tmr", fault_class="permanent", sample=60),
@@ -624,34 +644,38 @@ def test_campaigns_on_one_design_share_its_programs_exactly(design, tmp_path,
                        site_kinds=("gate",), sample=40),
     ]
     builds = _counted_builds(monkeypatch)
-    compiled = []           # per campaign: (stage gates, overrides, mode)
+    compiled = []           # per campaign: (stage gates, forced, mode)
     compile_stage = StageProgram._compile
 
-    def counted(self, overrides=frozenset(), lanes=False, masked=False):
-        compiled[-1].add((tuple(g.id for g in self.gates), overrides, lanes,
-                          masked))
-        return compile_stage(self, overrides, lanes, masked)
+    def counted(self, forced=frozenset(), lanes=False, masked=False):
+        compiled[-1].append((tuple(g.id for g in self.gates), forced, lanes,
+                             masked))
+        return compile_stage(self, forced, lanes, masked)
     monkeypatch.setattr(StageProgram, "_compile", counted)
 
     shared = cut_pipeline(design.netlist, design.n_stages)
     together = []
     for i, cfg in enumerate(configs):
-        compiled.append(set())
+        compiled.append([])
         together.append(_files(run_campaign(shared, cfg),
                                tmp_path / f"shared{i}"))
-    assert compiled[0]
-    assert not compiled[1] & compiled[0]
-    assert not compiled[2] & compiled[0]
+    n, gates = design.n_stages, design.netlist.gates
+    first = compiled[0]
+    assert len(set(first)) == len(first) == n + n + len(gates)
+    assert sum(not lanes for _, _, lanes, _ in first) == n
+    assert {forced for _, forced, lanes, _ in first if lanes} == \
+        {frozenset(), *(frozenset({g.id}) for g in gates)}
+    assert compiled[1] == compiled[2] == []
 
     fresh = []
     for i, cfg in enumerate(configs):
         # An equal but distinct design builds programs of its own.
         fresh.append(cut_pipeline(design.netlist, design.n_stages))
         assert fresh[-1] == shared and fresh[-1] is not shared
-        compiled.append(set())
+        compiled.append([])
         assert _files(run_campaign(fresh[-1], cfg),
                       tmp_path / f"fresh{i}") == together[i]
-        assert compiled[-1] & compiled[0]
+        assert set(compiled[-1]) & set(compiled[0])
     assert len(builds) == 4
     assert all(b is d for b, d in zip(builds, [shared, *fresh]))
 
@@ -793,6 +817,24 @@ def test_faults_in_one_stage_of_both_replicas_defeat_detection(design):
              FaultSpec(GateSite(125, 1), FLIP, 5, 1)]
     assert run_scenario("hfs", design, default_stream(), apart)[0] == \
         Classification("sdc", 0, 6)
+
+
+def test_common_mode_faults_defeat_detection_this_often(design):
+    # The exhaustive common-mode grids: one gate, or one register bit,
+    # flipped in both replicas at once for one cycle, every start 0..7.
+    stream = default_stream()
+    golden = golden_run("hfs", design, stream)
+    gates = [[GateSite(g.id, r) for r in (0, 1)]
+             for g in design.netlist.gates]
+    bits = [[RegisterSite(s, b, r) for r in (0, 1)]
+            for s, cut in enumerate(design.cuts) for b in range(len(cut))]
+    for sites, want in ((gates, {"sdc": 703, "masked": 369}),
+                        (bits, {"sdc": 316, "masked": 332})):
+        assert Counter(
+            run_scenario("hfs", design, stream,
+                         [FaultSpec(s, FLIP, start, 1) for s in pair],
+                         golden)[0].kind
+            for pair, start in product(sites, range(8))) == want
 
 
 def test_correction_guarantee_holds_for_stuck_at_transients(design):

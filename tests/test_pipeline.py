@@ -247,8 +247,12 @@ def test_faulted_stage_variants_match_reference(design5):
     for s, p in enumerate(programs):
         check(s, [])
         for g in p.gates:
+            # sa0, then sa1, then flip through the gate's one lane
+            # variant: each call must read its own masks, not the first.
+            variants = len(p._lane_variants)
             for model in ("sa0", "sa1", "flip"):
                 check(s, [FaultSpec(GateSite(g.id), model, 0, 1)])
+            assert len(p._lane_variants) == variants + 1
         first, mid, last = p.gates[0], p.gates[len(p.gates) // 2], \
             p.gates[-1]
         check(s, [FaultSpec(GateSite(first.id), "sa1", 0, 1),
@@ -263,15 +267,16 @@ def test_faulted_stage_variants_match_reference(design5):
 
 def test_faulted_stages_compile_nothing_per_fault(sbox_netlist, monkeypatch):
     # Each stage compiles its fault-free body and, on its first faulted
-    # call, one masked body that every gate fault shares.  A design of its
-    # own, whose programs no earlier campaign has built.
+    # call, one masked body that every gate fault shares; no lane body.
+    # A design of its own, whose programs no earlier campaign has built.
     design5 = cut_pipeline(sbox_netlist, 5)
     calls = []
     compile_stage = StageProgram._compile
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return compile_stage(self, *args, **kwargs)
+    def counted(self, forced=frozenset(), lanes=False, masked=False):
+        assert not forced and not lanes
+        calls.append(masked)
+        return compile_stage(self, forced, lanes, masked)
 
     monkeypatch.setattr(StageProgram, "_compile", counted)
     cfg = CampaignConfig(scheme="hfs", site_kinds=("gate",), durations=(1,),
