@@ -104,12 +104,10 @@ class GoldenRun:
 
 def stage_programs(design: PipelineDesign) -> list:
     """The stage programs of this design object: built on its first use
-    and kept on it for every later campaign (see the module docstring).
-    An equal design built separately builds its own."""
-    programs = design.__dict__.get("_programs")
-    if programs is None:
-        programs = design.__dict__["_programs"] = build_stage_programs(design)
-    return programs
+    and kept on it for every later campaign (see the module docstring)."""
+    # build_stage_programs is looked up here on each build, so a test or
+    # tracer that replaces this module's name sees every build.
+    return design._derived("programs", lambda: build_stage_programs(design))
 
 
 def golden_run(scheme: str, design: PipelineDesign, stream) -> GoldenRun:
@@ -236,7 +234,11 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     n_lanes = programs[0].n_lanes
     site = fault.spec.site
     reg = site if site.kind == "register" else None
-    stuck = 0 if fault.spec.model == STUCK0 else (1 << n_lanes) - 1
+    if reg is not None:
+        # The stuck bit as the fault's own table reads it, in every lane.
+        stuck = ((1 << n_lanes) - 1
+                 if fault.reg_read(reg.replica, reg.stage, 0) >> reg.bit & 1
+                 else 0)
 
     def last_words(replica=None):
         """One replica's last-boundary lane words; None is fault-free."""

@@ -22,7 +22,7 @@ from .campaign import (CampaignConfig, EmptyCampaignError, default_stream,
 from .faults import (FaultSpec, InvalidFaultError, InvalidSiteError,
                      MODELS, PERMANENT, SCHEMES, SITE_KINDS, parse_site)
 from .gf import DEFAULT_PARAMS, FieldParams, validate_params
-from .metrics import build_metrics, render_table
+from .metrics import ZeroBaselineError, build_metrics, render_table
 from .netlist import CostTable, DEFAULT_COSTS
 from .pipeline import TooManyStagesError, cut_pipeline
 from .redundancy import feed, make_machine
@@ -237,7 +237,10 @@ def cmd_campaign(args) -> int:
 
 def cmd_report(args) -> int:
     params, costs, design = _build_design(args)
-    rows = build_metrics(design, costs)
+    try:
+        rows = build_metrics(design, costs)
+    except ZeroBaselineError as e:
+        raise ConfigError(f"cost table {args.costs}: {e}") from None
     text = render_table(rows, args.format)
     if args.output:
         if args.format == "json":

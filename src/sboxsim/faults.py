@@ -219,17 +219,6 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
     return sites
 
 
-def _site_set(design: PipelineDesign, scheme: str) -> frozenset:
-    """enumerate_sites as a set, built on first use and kept on the design
-    object, as campaign.stage_programs keeps its programs there."""
-    key = f"_sites_{scheme}"
-    sites = design.__dict__.get(key)
-    if sites is None:
-        sites = design.__dict__[key] = frozenset(
-            enumerate_sites(design, scheme))
-    return sites
-
-
 def _triple(model: str, mask: int) -> tuple:
     """The (and, or, xor) masks of model on the bits of mask."""
     if model == STUCK0:
@@ -274,7 +263,10 @@ class ActiveFault:
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
         site = spec.site
-        if site not in _site_set(design, scheme):
+        sites = design._derived(
+            ("sites", scheme),
+            lambda: frozenset(enumerate_sites(design, scheme)))
+        if site not in sites:
             raise InvalidSiteError(f"no site {site} in the {scheme} design")
         self.spec = spec
         self.start = spec.start_cycle

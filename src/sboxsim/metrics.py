@@ -32,7 +32,8 @@ SCHEME_ORDER = ("original", "tmr", "ttr", "hfs")
 
 
 class ZeroBaselineError(ValueError):
-    """Overhead against a zero-cost baseline is undefined."""
+    """A ratio over a zero cost is undefined: an overhead against a
+    zero-cost baseline, or a frequency over a zero stage delay."""
 
 
 class MissingBaselineError(ValueError):
@@ -116,6 +117,9 @@ def measure_design(scheme: str, design: PipelineDesign,
         area += out_bits * _maj3_ge(costs)
         stage_delay += _maj3_delay(costs)
 
+    if stage_delay == 0:
+        raise ZeroBaselineError(f"{scheme} has a zero stage delay, so its "
+                                f"frequency is undefined")
     freq = 1.0 / stage_delay
     cycles = facts.buffer_rows or 1
     return MetricsRow(design=scheme, area_ge=area, max_freq=freq,

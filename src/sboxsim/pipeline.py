@@ -5,8 +5,11 @@ gates along their longest-delay paths: a bisection over the per-stage
 delay budget finds the smallest budget for which a greedy assignment
 (place each gate in its latest fanin's stage unless the accumulated delay
 would exceed the budget, then start the next stage) fits in N stages.
-Register cuts then hold every signal that crosses a stage boundary,
-including pass-throughs, so no combinational path bypasses a register.
+A hill climb then moves single gates across boundaries to shrink the
+register cuts, letting the worst stage grow to 1.3 times the leveled one.
+Register cuts hold every signal from its own stage to the last stage that
+reads it, including pass-throughs, so no combinational path bypasses a
+register.
 
 For simulation speed each stage is compiled to a small Python function
 over packed register words (one int per boundary, bit k = cut slot k).
@@ -84,10 +87,20 @@ class PipelineDesign:
             out |= ((packed_last >> slot) & 1) << i
         return out
 
+    def _derived(self, key, build):
+        """build(), run on this design object's first use of key and kept
+        on the object for every later one: a campaign's stage programs, a
+        scheme's site set.  An equal design built separately builds its
+        own."""
+        derived = self.__dict__.setdefault("_derived_cache", {})
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
+
     def __getstate__(self) -> dict:
         # The fields only: what derives from them is rebuilt on use, and
-        # the stage programs a campaign keeps on a design hold compiled
-        # functions, which do not pickle.
+        # the stage programs kept by _derived hold compiled functions,
+        # which do not pickle.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_dict(self) -> dict:
@@ -119,9 +132,8 @@ class PipelineDesign:
 
 def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
                   n_stages: int):
-    """Each gate's stage under a per-stage delay budget; None if it needs
-    more than n_stages."""
-    n_in = len(netlist.inputs)
+    """Every signal's stage under a per-stage delay budget, the inputs in
+    stage 0; None if the gates need more than n_stages."""
     stage = [0] * netlist.signal_count
     arrive = [0.0] * netlist.signal_count
     for g in netlist.gates:
@@ -142,19 +154,18 @@ def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
             return None
         stage[g.id] = s
         arrive[g.id] = a
-    return stage[n_in:]
+    return stage
 
 
 def _stage_delays_of(netlist: Netlist, delays: list[float],
-                     stage_of_gate: list[int], n_stages: int) -> list[float]:
-    n_in = len(netlist.inputs)
+                     stage: list[int], n_stages: int) -> list[float]:
     arrive = [0.0] * netlist.signal_count
     worst = [0.0] * n_stages
     for g in netlist.gates:
-        s = stage_of_gate[g.id - n_in]
+        s = stage[g.id]
         start = 0.0
         for f in g.fanin:
-            if f >= n_in and stage_of_gate[f - n_in] == s and arrive[f] > start:
+            if stage[f] == s and arrive[f] > start:
                 start = arrive[f]
         arrive[g.id] = start + delays[g.id]
         if arrive[g.id] > worst[s]:
@@ -163,60 +174,38 @@ def _stage_delays_of(netlist: Netlist, delays: list[float],
 
 
 def _reduce_cut_width(netlist: Netlist, delays: list[float],
-                      stage_of_gate: list[int], n_stages: int,
-                      cap: float) -> None:
+                      stage: list[int], n_stages: int, cap: float,
+                      consumers: list[list[int]], last_use) -> None:
     """Move gates across stage boundaries to shrink the register cuts.
 
-    A signal produced in stage p and last consumed in stage u occupies
-    u - p register slots, so total width is sum(max(0, last_use - prod)).
-    Greedy hill climb: relocate one gate at a time, keeping stage order
-    monotone along every path and the max per-stage delay within cap.
+    A signal produced in stage p and last used in stage u = last_use(sig)
+    occupies u - p register slots, so total width is
+    sum(max(0, last_use - p)).  Greedy hill climb: relocate one gate at a
+    time, keeping stage order monotone along every path and the max
+    per-stage delay within cap.
     """
-    n_in = len(netlist.inputs)
-    consumers: list[list[int]] = [[] for _ in range(netlist.signal_count)]
-    for g in netlist.gates:
-        for f in g.fanin:
-            consumers[f].append(g.id)
-    out_sigs = set(netlist.outputs)
-
-    def prod(sig: int) -> int:
-        return 0 if sig < n_in else stage_of_gate[sig - n_in]
-
-    def last_use(sig: int) -> int:
-        u = n_stages if sig in out_sigs else 0
-        for c in consumers[sig]:
-            sc = stage_of_gate[c - n_in]
-            if sc > u:
-                u = sc
-        return u
-
-    def width_around(gid: int) -> int:
-        sigs = {gid}
-        sigs.update(netlist.gates[gid - n_in].fanin)
-        return sum(max(0, last_use(s) - prod(s)) for s in sigs)
+    def width_around(g) -> int:
+        return sum(max(0, last_use(s) - stage[s]) for s in {g.id, *g.fanin})
 
     for _ in range(16):
         changed = False
         for g in netlist.gates:
-            pos = g.id - n_in
-            s = stage_of_gate[pos]
-            lo_bound = max((prod(f) for f in g.fanin), default=0)
-            hi_bound = min((stage_of_gate[c - n_in] for c in consumers[g.id]),
+            s = stage[g.id]
+            lo_bound = max((stage[f] for f in g.fanin), default=0)
+            hi_bound = min((stage[c] for c in consumers[g.id]),
                            default=n_stages - 1)
-            if g.id in out_sigs:
-                hi_bound = min(hi_bound, n_stages - 1)
             for target in (s + 1, s - 1):
                 if target < lo_bound or target > hi_bound:
                     continue
-                before = width_around(g.id)
-                stage_of_gate[pos] = target
-                after = width_around(g.id)
+                before = width_around(g)
+                stage[g.id] = target
+                after = width_around(g)
                 if (after < before and
-                        max(_stage_delays_of(netlist, delays, stage_of_gate,
+                        max(_stage_delays_of(netlist, delays, stage,
                                              n_stages)) <= cap + 1e-9):
                     changed = True
                     break
-                stage_of_gate[pos] = s
+                stage[g.id] = s
         if not changed:
             break
 
@@ -226,9 +215,12 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
     """Cut a validated netlist into n_stages balanced stages.
 
     Delay leveling first (bisection over the per-stage budget), then a
-    register-width reduction pass that must not worsen the achieved
-    balance.  Raises TooManyStagesError when n_stages is below 1 or
-    exceeds the circuit's gate depth (some stage would have to be empty).
+    register-width reduction pass that may lengthen the worst stage to
+    1.3 times the leveled one to save register bits.  Raises
+    TooManyStagesError when n_stages is below 1 or exceeds the circuit's
+    logic depth.  A stage may still hold no gate: when every delay is 0,
+    all gates level into stage 0 and the later stages only pass registers
+    on.
     """
     netlist.validate()
     if n_stages < 1:
@@ -243,9 +235,9 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
     for g in netlist.gates:
         delays[g.id] = costs.delay(g.kind)
 
-    lo = max((delays[g.id] for g in netlist.gates), default=0.0)
+    lo = max(delays)
     hi = critical_path_delay(netlist, costs)
-    stage_of_gate = _greedy_level(netlist, delays, hi, n_stages)
+    stage = _greedy_level(netlist, delays, hi, n_stages)
     for _ in range(60):
         mid = (lo + hi) / 2
         attempt = _greedy_level(netlist, delays, mid, n_stages)
@@ -253,43 +245,38 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
             lo = mid
         else:
             hi = mid
-            stage_of_gate = attempt
+            stage = attempt
+
+    # A signal is registered at every boundary from its own stage to the
+    # last stage that reads it; the primary outputs are read at stage N.
+    consumers: list[list[int]] = [[] for _ in range(netlist.signal_count)]
+    for g in netlist.gates:
+        for f in g.fanin:
+            consumers[f].append(g.id)
+    out_sigs = set(netlist.outputs)
+
+    def last_use(sig: int) -> int:
+        u = n_stages if sig in out_sigs else 0
+        for c in consumers[sig]:
+            if stage[c] > u:
+                u = stage[c]
+        return u
 
     # The width pass may spend up to 30% delay slack over the balanced
     # optimum; register bits are the dominant cost of a protected pipeline,
     # so a mildly longer stage is the better trade.
-    cap = 1.3 * max(_stage_delays_of(netlist, delays, stage_of_gate, n_stages))
-    _reduce_cut_width(netlist, delays, stage_of_gate, n_stages, cap)
-    stage_delays = _stage_delays_of(netlist, delays, stage_of_gate, n_stages)
+    cap = 1.3 * max(_stage_delays_of(netlist, delays, stage, n_stages))
+    _reduce_cut_width(netlist, delays, stage, n_stages, cap, consumers,
+                      last_use)
+    stage_delays = _stage_delays_of(netlist, delays, stage, n_stages)
 
-    n_in = len(netlist.inputs)
-
-    # A signal is registered at every boundary between its producer stage
-    # and its latest consumer; consumers at stage N are the primary outputs.
-    last_use = [0] * netlist.signal_count
-    for g in netlist.gates:
-        s = stage_of_gate[g.id - n_in]
-        for f in g.fanin:
-            if s > last_use[f]:
-                last_use[f] = s
-    for o in netlist.outputs:
-        last_use[o] = n_stages
-
-    def prod(sig: int) -> int:
-        return 0 if sig < n_in else stage_of_gate[sig - n_in]
-
-    cuts = []
-    for s in range(n_stages - 1):
-        cuts.append(tuple(sig for sig in range(netlist.signal_count)
-                          if prod(sig) <= s < last_use[sig]))
-    out_cut = []
-    for o in netlist.outputs:
-        if o not in out_cut:
-            out_cut.append(o)
-    cuts.append(tuple(out_cut))
+    last = [last_use(sig) for sig in range(netlist.signal_count)]
+    cuts = [tuple(sig for sig, p in enumerate(stage) if p <= s < last[sig])
+            for s in range(n_stages - 1)]
+    cuts.append(tuple(dict.fromkeys(netlist.outputs)))
 
     return PipelineDesign(netlist=netlist, n_stages=n_stages,
-                          stage_of_gate=tuple(stage_of_gate),
+                          stage_of_gate=tuple(stage[len(netlist.inputs):]),
                           cuts=tuple(cuts), stage_delays=tuple(stage_delays))
 
 

@@ -26,6 +26,14 @@ def _costs_with(kind, entry):
     return {**doc, "gates": {**doc["gates"], kind: entry}}
 
 
+def _costs_each(entry, **doc):
+    """A cost table JSON document whose entry for each gate kind is
+    entry(kind, ge, delay) of the default table's, plus doc's keys."""
+    gates = DEFAULT_COSTS.to_json_dict()["gates"]
+    return {"gates": {kind: entry(kind, ge, delay)
+                      for kind, (ge, delay) in gates.items()}, **doc}
+
+
 def test_verify_default_params(capsys):
     assert main(["verify"]) == 0
     assert "all 256 bytes" in capsys.readouterr().out
@@ -150,6 +158,18 @@ def test_options_a_command_does_not_read_are_rejected(command, option,
                  id="report --costs XOR2 GE bool"),
     pytest.param(["report", "--costs", _costs_with("XOR2", [2.33, NAN])],
                  id="report --costs XOR2 delay NaN"),
+    # Tables whose metrics divide by zero: with every delay 0 no stage has
+    # a delay to invert, and with GE only on NAND2, which the S-box does
+    # not use, the original design's area is 0.
+    *[pytest.param(["report", "--stages", n, "--costs",
+                    _costs_each(lambda kind, ge, delay: [ge, 0])],
+                   id=f"report --stages {n} --costs every delay 0")
+      for n in ("5", "1")],
+    pytest.param(["report", "--costs",
+                  _costs_each(lambda kind, ge, delay:
+                              [1.0 if kind == "NAND2" else 0, delay],
+                              register_bit_ge=0)],
+                 id="report --costs GE only on NAND2"),
     ["synth", "--output", UNWRITABLE],
     ["simulate", "--design", "original", "--count", "2",
      "--trace", UNWRITABLE],

@@ -6,7 +6,8 @@ import pytest
 
 from sboxsim.gf import (DEFAULT_PARAMS, FieldParams, InvalidParamsError,
                         derive_field_params, sbox_reference)
-from sboxsim.netlist import area_ge, critical_path_delay, logic_depth
+from sboxsim.netlist import (CostTable, DEFAULT_COSTS, area_ge,
+                             critical_path_delay, logic_depth)
 from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import NetlistBuilder, build_linear_block, synth_sbox
 
@@ -45,6 +46,18 @@ def test_default_design_is_pinned(sbox_netlist):
     doc = cut_pipeline(sbox_netlist, 5).to_json().encode()
     assert hashlib.sha256(doc).hexdigest() == (
         "88d7f2912649a1b47e4bd723ddaa6af45ce84dc02e06832e4f0d69b1fc999d10")
+    # And every other cut: each stage count up to the logic depth (24 and
+    # 22) of two parameter sets, under the default costs and with XOR2
+    # delay 1.0, hashed in that order.
+    fast_xor = CostTable(entries={**DEFAULT_COSTS.entries,
+                                  "XOR2": (DEFAULT_COSTS.ge("XOR2"), 1.0)})
+    digest = hashlib.sha256()
+    for nl in (sbox_netlist, synth_sbox(derive_field_params(0xC, 0x2, 0))):
+        for costs in (DEFAULT_COSTS, fast_xor):
+            for n in range(1, logic_depth(nl) + 1):
+                digest.update(cut_pipeline(nl, n, costs).to_json().encode())
+    assert digest.hexdigest() == (
+        "d319fee7a2047253f8a2076593da374fa55ded270d1b882db5f173927c6729fc")
 
 
 def test_corrupted_params_raise(sbox_netlist):
