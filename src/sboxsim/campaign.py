@@ -159,6 +159,8 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
     if golden is None:
         golden = golden_run(scheme, design, stream)
     specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
+    if not specs:
+        raise ValueError("empty fault set: a scenario needs a fault")
     first = min(s.start_cycle for s in specs)
     _check_start(first, golden)
     fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1

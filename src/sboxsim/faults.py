@@ -208,7 +208,7 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
             for bit in range(w):
                 sites.append(RegisterSite(stage, bit, replica))
         for row in range(facts.buffer_rows):
-            for bit in range(len(design.netlist.outputs)):
+            for bit in range(widths[-1]):   # a row holds the output word
                 sites.append(RegisterSite(design.n_stages + row, bit, replica))
     if facts.stalls:
         for stage in range(design.n_stages):

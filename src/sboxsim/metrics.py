@@ -8,7 +8,7 @@ structural estimates whose unit costs come from the cost table:
   * hold-state voter: one MUX2 per latched bit
   * detection unit, width w: (w-1) XOR2 plus an OR reduction
   * control unit: OR tree over the per-stage error flags
-  * majority voter: 3 AND2 + 2 OR2 per output bit
+  * majority voter: 3 AND2 + 2 OR2 per output-register bit
 
 Frequency is reported in normalized units, the reciprocal of the worst
 per-stage delay including the scheme's comparator/voter overhead on the
@@ -98,12 +98,15 @@ def measure_design(scheme: str, design: PipelineDesign,
     facts = scheme_facts(scheme)
     widths = [len(c) for c in design.cuts]
     out_bits = len(design.netlist.outputs)
+    # The buffer rows hold, and the voters vote, the output register's
+    # word: one bit per distinct output signal.
+    word_bits = widths[-1]
     area = facts.copies * (area_ge(design.netlist, costs)
                            + sum(widths) * costs.register_bit_ge)
     stage_delay = design.max_stage_delay
     if facts.buffer_rows:
         # Result buffer, input hold register, phase counter.
-        area += (facts.buffer_rows * out_bits + len(design.netlist.inputs)
+        area += (facts.buffer_rows * word_bits + len(design.netlist.inputs)
                  + 2) * costs.register_bit_ge
     if facts.stalls:
         # Hold-state voters, detection units, control unit.
@@ -114,7 +117,7 @@ def measure_design(scheme: str, design: PipelineDesign,
         stage_delay += costs.delay("MUX2")
     if max(facts.copies, facts.buffer_rows) == 3:
         # A majority voter over three copies or three passes.
-        area += out_bits * _maj3_ge(costs)
+        area += word_bits * _maj3_ge(costs)
         stage_delay += _maj3_delay(costs)
 
     if stage_delay == 0:

@@ -1,19 +1,21 @@
 """Cycle-accurate machines for the fault-tolerance schemes.
 
-Four machines share one pipelined S-box design:
+Two machines run every scheme on one pipelined S-box design:
 
-  * PlainPipelineMachine - the unprotected baseline.
-  * FcDmrMachine - duplicated stage logic and registers, per-stage
+  * FcDmrMachine (hfs) - duplicated stage logic and registers, per-stage
     comparators (detection units), hold-state voters, and a global stall:
     while any stage's register pair disagrees, every voter re-presents the
     last agreed values, the stage logic re-executes the same computation,
     and no input is accepted.  One clean re-execution clears the mismatch,
     so a transient costs stall cycles but never a wrong output.
-  * TmrMachine - three independent pipeline replicas with a bitwise
-    majority vote on the output register; never stalls.
-  * TtrMachine - one pipeline instance computing each input three times in
-    a row; the three buffered results are majority-voted (one result per
-    three cycles).
+  * one machine for the schemes that never stall, built from the
+    scheme's record in SCHEMES: `copies` replica pipelines, each input fed
+    `buffer_rows or 1` times in a row, and a bitwise majority vote over
+    three copies or three passes.  Its subclasses name the scheme:
+    PlainPipelineMachine (original: one copy, one pass, the unprotected
+    baseline), TmrMachine (tmr: three copies, voted at the output
+    register) and TtrMachine (ttr: three passes of one copy, whose
+    buffered results are voted, one result per three cycles).
 
 All machines expose step(input_byte_or_None) -> StepRecord and the
 counters consumed / emitted / stall_cycles, and feed(machine, stream) is
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .faults import ActiveFault, scheme_facts
+from .faults import SCHEMES, ActiveFault, scheme_facts
 from .pipeline import PipelineDesign, StageProgram, build_stage_programs
 
 
@@ -121,44 +123,6 @@ class _MachineBase:
                 regs.append(v)
         return tuple(map(tuple, out))
 
-    def _read_regs(self, regs: tuple, replica: int, kinds) -> tuple:
-        if "register" not in kinds:
-            return regs
-        return self.fault.transform_regs(replica, regs)
-
-
-class PlainPipelineMachine(_MachineBase):
-    """The unprotected pipelined S-box: no detection, no stalls."""
-
-    def __init__(self, design, fault=None, programs=None):
-        super().__init__(design, fault, programs)
-        self.regs = (0,) * self.n
-        self.valid = (False,) * self.n
-
-    def step(self, inp: Optional[int]) -> StepRecord:
-        cyc = self.cycle
-        fault = self.fault
-        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = self._read_regs(self.regs, 0, kinds)
-        out = None
-        if self.valid[self.n - 1]:
-            out = self.design.output_byte(reads[self.n - 1])
-            self.emitted += 1
-        accepted = inp is not None
-        self.regs = self._advance(inp if accepted else 0, (reads,), kinds)[0]
-        self.valid = (accepted,) + self.valid[:self.n - 1]
-        if accepted:
-            self.consumed += 1
-        self.cycle += 1
-        return StepRecord(cyc, inp, accepted, (), False, out)
-
-    def canonical_state(self):
-        return self.regs, self.valid, self.consumed, self.emitted
-
-    def restore(self, state, cycle: int) -> None:
-        self.regs, self.valid, self.consumed, self.emitted = state
-        self.cycle = cycle
-
 
 class FcDmrMachine(_MachineBase):
     """Duplicated pipeline with per-stage detection and hold-state voters.
@@ -186,8 +150,10 @@ class FcDmrMachine(_MachineBase):
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
 
-        reads_a = self._read_regs(self.regs_a, 0, kinds)
-        reads_b = self._read_regs(self.regs_b, 1, kinds)
+        reads_a, reads_b = self.regs_a, self.regs_b
+        if "register" in kinds:
+            reads_a = fault.transform_regs(0, reads_a)
+            reads_b = fault.transform_regs(1, reads_b)
         errs = [a != b for a, b in zip(reads_a, reads_b)]
         if "comparator" in kinds:
             errs = [fault.du_apply(s, e) for s, e in enumerate(errs)]
@@ -234,90 +200,68 @@ class FcDmrMachine(_MachineBase):
         self.cycle = cycle
 
 
-class TmrMachine(_MachineBase):
-    """Three replica pipelines, output-register majority vote, no stalls."""
+class _FixedLatencyMachine(_MachineBase):
+    """A scheme that never stalls, built from its record in SCHEMES (see
+    the module docstring).  A result leaves every `passes` cycles."""
+
+    scheme: str         # each subclass names its scheme
 
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
-        self.regs = ((0,) * self.n,) * 3
-        self.valid = (False,) * self.n
-
-    def step(self, inp: Optional[int]) -> StepRecord:
-        cyc = self.cycle
-        n = self.n
-        fault = self.fault
-        kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = [self._read_regs(self.regs[r], r, kinds) for r in range(3)]
-        out = None
-        if self.valid[n - 1]:
-            voted = majority3(reads[0][n - 1], reads[1][n - 1],
-                              reads[2][n - 1])
-            out = self.design.output_byte(voted)
-            self.emitted += 1
-        accepted = inp is not None
-        self.regs = self._advance(inp if accepted else 0, reads, kinds)
-        self.valid = (accepted,) + self.valid[:n - 1]
-        if accepted:
-            self.consumed += 1
-        self.cycle += 1
-        return StepRecord(cyc, inp, accepted, (), False, out)
-
-    def canonical_state(self):
-        return self.regs, self.valid, self.consumed, self.emitted
-
-    def restore(self, state, cycle: int) -> None:
-        self.regs, self.valid, self.consumed, self.emitted = state
-        self.cycle = cycle
-
-
-class TtrMachine(_MachineBase):
-    """Time redundancy: each input runs through the single pipeline three
-    times in consecutive cycles; the three buffered results are bitwise
-    majority-voted.  Throughput is one result per three cycles."""
-
-    def __init__(self, design, fault=None, programs=None):
-        super().__init__(design, fault, programs)
-        self.regs = (0,) * self.n
+        facts = SCHEMES[self.scheme]
+        self.copies = facts.copies
+        self.passes = facts.buffer_rows or 1
+        self.regs = ((0,) * self.n,) * self.copies
         self.valid = (False,) * self.n
         self.buffer = ()        # the results of this input's passes so far
-        self.phase = 0          # 0 accepts a new input; 1, 2 replay it
+        self.phase = 0          # 0 accepts a new input; later passes replay it
         self.held: Optional[int] = None
-
-    def _buffer_read(self, row: int, kinds) -> int:
-        word = self.buffer[row]
-        if "register" in kinds:
-            word = self.fault.reg_read(0, self.n + row, word)
-        return word
 
     def step(self, inp: Optional[int]) -> StepRecord:
         cyc = self.cycle
         n = self.n
         fault = self.fault
         kinds = fault.kinds if fault is not None and fault.active(cyc) else ()
-        reads = self._read_regs(self.regs, 0, kinds)
+        reads = self.regs
+        if "register" in kinds:
+            reads = tuple([fault.transform_regs(r, regs)
+                           for r, regs in enumerate(reads)])
 
         out = None
         if self.valid[n - 1]:
-            self.buffer += (reads[n - 1],)
-            if len(self.buffer) == 3:
-                voted = majority3(self._buffer_read(0, kinds),
-                                  self._buffer_read(1, kinds),
-                                  self._buffer_read(2, kinds))
-                out = self.design.output_byte(voted)
+            last = (majority3(*[regs[n - 1] for regs in reads])
+                    if self.copies == 3 else reads[0][n - 1])
+            if self.passes == 1:
+                out = last
+            else:
+                self.buffer += (last,)
+                if len(self.buffer) == self.passes:
+                    rows = self.buffer
+                    if "register" in kinds:
+                        # Result-buffer row k is boundary n + k.
+                        rows = [fault.reg_read(0, n + k, w)
+                                for k, w in enumerate(rows)]
+                    out = majority3(*rows)
+                    self.buffer = ()
+            if out is not None:
+                out = self.design.output_byte(out)
                 self.emitted += 1
-                self.buffer = ()
 
-        accepted = False
-        if self.phase == 0:
-            self.held = inp
-            if inp is not None:
-                accepted = True
-                self.consumed += 1
-        feeding = self.held is not None
-        self.regs = self._advance(self.held if feeding else 0, (reads,),
-                                  kinds)[0]
+        if self.passes == 1:
+            accepted = feeding = inp is not None
+            word = inp if accepted else 0
+        else:
+            accepted = False
+            if self.phase == 0:
+                self.held = inp
+                accepted = inp is not None
+            self.phase = (self.phase + 1) % self.passes
+            feeding = self.held is not None
+            word = self.held if feeding else 0
+        if accepted:
+            self.consumed += 1
+        self.regs = self._advance(word, reads, kinds)
         self.valid = (feeding,) + self.valid[:n - 1]
-        self.phase = (self.phase + 1) % 3
         self.cycle += 1
         return StepRecord(cyc, inp, accepted, (), False, out)
 
@@ -329,6 +273,34 @@ class TtrMachine(_MachineBase):
         (self.regs, self.valid, self.buffer, self.phase, self.held,
          self.consumed, self.emitted) = state
         self.cycle = cycle
+
+
+# Each subclass repeats step and canonical_state only because perfbench's
+# tracer patches them in each machine class's own namespace; they go once
+# it stops pinning them by name (ROADMAP item 1).
+
+
+class PlainPipelineMachine(_FixedLatencyMachine):
+    """The unprotected pipelined S-box: no detection, no stalls."""
+    scheme = "original"
+    step = _FixedLatencyMachine.step
+    canonical_state = _FixedLatencyMachine.canonical_state
+
+
+class TmrMachine(_FixedLatencyMachine):
+    """Three replica pipelines, output-register majority vote, no stalls."""
+    scheme = "tmr"
+    step = _FixedLatencyMachine.step
+    canonical_state = _FixedLatencyMachine.canonical_state
+
+
+class TtrMachine(_FixedLatencyMachine):
+    """Time redundancy: each input runs through the single pipeline three
+    times in consecutive cycles; the three buffered results are bitwise
+    majority-voted."""
+    scheme = "ttr"
+    step = _FixedLatencyMachine.step
+    canonical_state = _FixedLatencyMachine.canonical_state
 
 
 MACHINE_CLASSES = {

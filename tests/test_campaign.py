@@ -733,6 +733,14 @@ def test_run_scenario_rejects_invalid_site(design):
                      FaultSpec(GateSite(5, 0), "flip", 0, 1))  # id 5 is input
 
 
+@pytest.mark.parametrize("empty", [[], ()])
+def test_run_scenario_rejects_an_empty_fault_list(design, empty):
+    for traced in (False, True):
+        with pytest.raises(ValueError, match="^empty fault set"):
+            run_scenario("tmr", design, [1, 2, 3], empty,
+                         collect_trace=traced)
+
+
 def test_unprotected_design_sanity_floor(design):
     # No detection hardware exists: every non-masked outcome must be a
     # silent corruption, and some faults must corrupt.

@@ -12,6 +12,7 @@ from sboxsim.faults import (FLIP, MODELS, SCHEMES, SITE_KINDS,
                             PERMANENT, RegisterSite, VoterLatchSite,
                             enumerate_sites, parse_site)
 from sboxsim.gf import DEFAULT_PARAMS
+from sboxsim.netlist import Gate, Netlist
 from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import synth_sbox
 
@@ -66,7 +67,7 @@ def test_enumeration_counts(design):
     tmr = enumerate_sites(design, "tmr")
     assert len(tmr) == 3 * (g + r)
     ttr = enumerate_sites(design, "ttr")
-    assert len(ttr) == g + r + 3 * len(design.netlist.outputs)
+    assert len(ttr) == g + r + 3 * len(design.cuts[-1])
 
 
 def test_enumeration_deterministic_and_duplicate_free(design):
@@ -213,6 +214,21 @@ def test_ttr_buffer_sites_valid_only_for_ttr(design):
     ActiveFault(spec, design, "ttr")
     with pytest.raises(InvalidSiteError):
         ActiveFault(spec, design, "original")
+
+
+def test_ttr_buffer_rows_are_as_wide_as_the_output_register():
+    # A row holds the output register's word, one bit per distinct output
+    # signal, however often the netlist lists a signal as an output.
+    gates = (Gate(2, "XOR2", (0, 1)), Gate(3, "AND2", (0, 2)))
+    d = cut_pipeline(Netlist(inputs=(0, 1), outputs=(2, 2, 3), gates=gates),
+                     2)
+    assert d.cuts[-1] == (2, 3)
+    rows = [str(s) for s in enumerate_sites(d, "ttr")
+            if s.kind == "register" and s.stage >= d.n_stages]
+    assert rows == [f"reg:{2 + row}:{bit}:r0" for row in range(3)
+                    for bit in range(2)]
+    with pytest.raises(InvalidSiteError):
+        ActiveFault(FaultSpec(RegisterSite(2, 2, 0), "flip", 0, 1), d, "ttr")
 
 
 def test_site_strings_are_stable(design):

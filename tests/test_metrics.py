@@ -10,7 +10,7 @@ from sboxsim.metrics import (MetricsRow, MissingBaselineError,
                              ZeroBaselineError, attach_overheads,
                              build_metrics, measure_design, overhead,
                              render_table, throughput)
-from sboxsim.netlist import CostTable, DEFAULT_COSTS
+from sboxsim.netlist import CostTable, DEFAULT_COSTS, Gate, Netlist
 from sboxsim.pipeline import cut_pipeline
 from sboxsim.synth import synth_sbox
 
@@ -144,6 +144,23 @@ def test_custom_cost_table_keeps_ordering(design):
     r = by_name(rows)
     assert (r["original"].area_ge < r["ttr"].area_ge
             < r["hfs"].area_ge < r["tmr"].area_ge)
+
+
+def test_buffer_rows_and_voters_are_as_wide_as_the_output_register():
+    # A netlist that lists signal 2 twice as an output: its output
+    # register holds two bits, which the ttr buffer rows store and the
+    # tmr and ttr majority voters vote.
+    gates = (Gate(2, "XOR2", (0, 1)), Gate(3, "AND2", (0, 2)))
+    d = cut_pipeline(Netlist(inputs=(0, 1), outputs=(2, 2, 3), gates=gates),
+                     2)
+    bit = DEFAULT_COSTS.register_bit_ge
+    voter = 3 * DEFAULT_COSTS.ge("AND2") + 2 * DEFAULT_COSTS.ge("OR2")
+    plain = measure_design("original", d).area_ge
+    assert measure_design("tmr", d).area_ge == \
+        pytest.approx(3 * plain + 2 * voter)
+    # Three two-bit rows, the two-bit input hold register, a phase counter.
+    assert measure_design("ttr", d).area_ge == \
+        pytest.approx(plain + (3 * 2 + 2 + 2) * bit + 2 * voter)
 
 
 def test_missing_baseline_rejected(rows):

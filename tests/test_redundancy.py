@@ -1,6 +1,9 @@
 """Machine-level behavior: stall-and-recover traces, majority voting, time
 redundancy."""
 
+import dataclasses
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -14,8 +17,8 @@ from sboxsim.faults import (SCHEMES, ActiveFault, ComparatorSite,
                             RegisterSite, VoterLatchSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import build_stage_programs, cut_pipeline
-from sboxsim.redundancy import (MACHINE_CLASSES, FcDmrMachine, TmrMachine,
-                                TtrMachine, feed, majority3, make_machine)
+from sboxsim.redundancy import (MACHINE_CLASSES, FcDmrMachine, feed,
+                                majority3, make_machine)
 from sboxsim.synth import synth_sbox
 
 
@@ -177,18 +180,17 @@ def test_tmr_register_transient_masked(design):
 # ---------------------------------------------------------------------------
 
 
-def test_ttr_three_cycles_per_result(design):
-    m = TtrMachine(design)
-    stream = list(range(12))
-    emit_cycles = []
-    while m.emitted < len(stream):
-        inp = stream[m.consumed] if m.consumed < len(stream) else None
-        rec = m.step(inp)
-        if rec.output is not None:
-            emit_cycles.append(rec.cycle)
+@pytest.mark.parametrize("scheme", ["original", "tmr", "ttr"])
+def test_cycles_per_result(design, scheme):
+    # Each input runs buffer_rows or 1 passes, so a result comes every
+    # that many cycles, the first after the last pass leaves the pipeline.
+    passes = SCHEMES[scheme].buffer_rows or 1
+    m = make_machine(scheme, design)
+    emit_cycles = [rec.cycle for rec in feed(m, list(range(12)))
+                   if rec.output is not None]
     diffs = {b - a for a, b in zip(emit_cycles, emit_cycles[1:])}
-    assert diffs == {3}
-    assert emit_cycles[0] == design.n_stages + 2
+    assert diffs == {passes}
+    assert emit_cycles[0] == design.n_stages + passes - 1
 
 
 def test_ttr_single_pass_transient_corrected(design):
@@ -260,6 +262,63 @@ def test_fault_free_replicas_stay_equal(design, scheme):
     for _ in feed(m, random.Random(3).randbytes(300)):
         regs = [m.regs_a, m.regs_b] if scheme == "hfs" else m.regs
         assert all(r == regs[0] for r in regs)
+
+
+# Each scheme's traced runs of pinned_scenarios, as pinned_digest hashes
+# them.  These machines are the oracle every fast path is tested against,
+# so a change to them must leave every record of these runs as it was.
+PINNED_DIGESTS = {
+    "original":
+        "f13e2e5caaaaf7795f64edcf0346218ba8e9e80d3beeeb3efebc607e43528b8c",
+    "tmr":
+        "b0d27acafdd68896844759c8261030371a1be5570b3fffff42d76e2e417f216d",
+    "ttr":
+        "1009cc44e0002ee3878feaa1a1b505bffbb7d66592303ab2cd8dea66e0dafc0f",
+}
+
+
+def pinned_scenarios(design, scheme):
+    """A gate flip, a register stuck-at from mid-stream, and a gate
+    stuck-at from cycle 0 in each replica; tmr adds gate and register
+    faults that two replicas share, which the vote cannot outvote, and
+    ttr a flip of each buffer row alone and of two rows at once."""
+    n = design.n_stages
+    copies = SCHEMES[scheme].copies
+    gate, live = design.netlist.gates[60].id, design.netlist.gates[77].id
+    cases = [FaultSpec(GateSite(gate, 0), "flip", 7, 3),
+             FaultSpec(RegisterSite(2, 1, copies - 1), "sa1", 9, PERMANENT)]
+    cases += [FaultSpec(GateSite(live, r), "sa0", 0, PERMANENT)
+              for r in range(copies)]
+    if scheme == "tmr":
+        cases += [[FaultSpec(GateSite(live, r), "sa0", 0, PERMANENT)
+                   for r in (0, 2)],
+                  [FaultSpec(RegisterSite(2, 1, r), "sa1", 9, PERMANENT)
+                   for r in (1, 2)]]
+    if scheme == "ttr":
+        rows = [FaultSpec(RegisterSite(n + row, 3, 0), "flip", 13, 3)
+                for row in range(3)]
+        cases += rows + [rows[::2]]
+    return cases
+
+
+def pinned_digest(design, scheme):
+    """sha256 of every StepRecord and the Classification of each pinned
+    scenario's traced run on a short stream."""
+    stream = list(random.Random(25).randbytes(24))
+    golden = golden_run(scheme, design, stream)
+    runs = []
+    for spec in pinned_scenarios(design, scheme):
+        cls, trace = run_scenario(scheme, design, stream, spec, golden,
+                                  collect_trace=True)
+        runs.append([[rec.to_json_dict() for rec in trace],
+                     dataclasses.asdict(cls)])
+    return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", ["original", "tmr", "ttr"])
+def test_fixed_latency_traces_are_pinned(design, scheme):
+    assert pinned_digest(design, scheme) == PINNED_DIGESTS[scheme]
 
 
 # ---------------------------------------------------------------------------
