@@ -191,13 +191,18 @@ class FaultSpec:
         return f"{self.site}:{self.model}:@{self.start_cycle}+{dur}"
 
 
-def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
+def enumerate_sites(design: PipelineDesign, scheme: str) -> tuple:
     """Complete, duplicate-free, deterministic fault-site list.
 
     Each replica's gates, register bits and result-buffer rows, then,
     for a scheme that stalls (the duplicated pipeline), the per-stage
-    comparators and voter latches.
+    comparators and voter latches.  Built once per design object and
+    scheme, and kept on the design (PipelineDesign._derived).
     """
+    return design._derived(("sites", scheme), lambda: _sites(design, scheme))
+
+
+def _sites(design: PipelineDesign, scheme: str) -> tuple:
     facts = scheme_facts(scheme)
     sites: list = []
     widths = [len(c) for c in design.cuts]
@@ -216,7 +221,7 @@ def enumerate_sites(design: PipelineDesign, scheme: str) -> list:
         for stage, w in enumerate(widths):
             for bit in range(w):
                 sites.append(VoterLatchSite(stage, bit))
-    return sites
+    return tuple(sites)
 
 
 def _triple(model: str, mask: int) -> tuple:
@@ -263,9 +268,8 @@ class ActiveFault:
 
     def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
         site = spec.site
-        sites = design._derived(
-            ("sites", scheme),
-            lambda: frozenset(enumerate_sites(design, scheme)))
+        sites = design._derived(("site set", scheme), lambda: frozenset(
+            enumerate_sites(design, scheme)))
         if site not in sites:
             raise InvalidSiteError(f"no site {site} in the {scheme} design")
         self.spec = spec

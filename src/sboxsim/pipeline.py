@@ -1,12 +1,15 @@
 """Pipeline cutting and cycle-accurate streaming evaluation.
 
 `cut_pipeline` slices a combinational netlist into N stages by leveling
-gates along their longest-delay paths: a bisection over the per-stage
-delay budget finds the smallest budget for which a greedy assignment
-(place each gate in its latest fanin's stage unless the accumulated delay
-would exceed the budget, then start the next stage) fits in N stages.
+gates along their longest-delay paths: an exact search finds the smallest
+per-stage delay limit for which a greedy assignment (place each gate in
+its latest fanin's stage unless the accumulated delay would pass the
+limit, then start the next stage) fits in N stages.  Each greedy pass
+reports the arrival at which its outcome would change, and the search
+moves its bound there, so it tries only limits that give a new pass.
 A hill climb then moves single gates across boundaries to shrink the
-register cuts, letting the worst stage grow to 1.3 times the leveled one.
+register cuts, letting the worst stage grow to 1.3 times the leveled one;
+each move rechecks the delay of only the two stages it changes.
 Register cuts hold every signal from its own stage to the last stage that
 reads it, including pass-throughs, so no combinational path bypasses a
 register.
@@ -40,8 +43,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
-from .netlist import (CostTable, DEFAULT_COSTS, GATES, Netlist,
-                      critical_path_delay, logic_depth)
+from .netlist import CostTable, DEFAULT_COSTS, GATES, Netlist, logic_depth
 
 
 class TooManyStagesError(ValueError):
@@ -130,12 +132,17 @@ class PipelineDesign:
         return cls.from_json_dict(json.loads(text))
 
 
-def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
+def _greedy_level(netlist: Netlist, delays: list[float], limit: float,
                   n_stages: int):
-    """Every signal's stage under a per-stage delay budget, the inputs in
-    stage 0; None if the gates need more than n_stages."""
+    """Every signal's stage when no stage may end later than limit, the
+    inputs in stage 0, or None if the gates need more than n_stages; and
+    the pass's edge.  A pass that fits returns the largest arrival it
+    placed, and one that does not the smallest arrival that overran limit:
+    every limit from that largest arrival up to limit, or from limit up to
+    (not including) that smallest one, makes the same pass."""
     stage = [0] * netlist.signal_count
     arrive = [0.0] * netlist.signal_count
+    over = float("inf")
     for g in netlist.gates:
         # The latest fanin stage, and the latest arrival within it.
         s, start = -1, 0.0
@@ -145,24 +152,26 @@ def _greedy_level(netlist: Netlist, delays: list[float], budget: float,
             elif stage[f] == s and arrive[f] > start:
                 start = arrive[f]
         a = start + delays[g.id]
-        if a > budget + 1e-9:
+        if a > limit:
+            over = min(over, a)
             s += 1
             a = delays[g.id]
-            if a > budget + 1e-9:
-                return None
-        if s >= n_stages:
-            return None
+            if s >= n_stages:
+                return None, over
         stage[g.id] = s
         arrive[g.id] = a
-    return stage
+    return stage, max(arrive)
 
 
 def _stage_delays_of(netlist: Netlist, delays: list[float],
-                     stage: list[int], n_stages: int) -> list[float]:
+                     stage: list[int], stages) -> list[float]:
+    """The latest arrival within each stage of stages, in their order."""
     arrive = [0.0] * netlist.signal_count
-    worst = [0.0] * n_stages
+    worst = dict.fromkeys(stages, 0.0)
     for g in netlist.gates:
         s = stage[g.id]
+        if s not in worst:
+            continue
         start = 0.0
         for f in g.fanin:
             if stage[f] == s and arrive[f] > start:
@@ -170,7 +179,7 @@ def _stage_delays_of(netlist: Netlist, delays: list[float],
         arrive[g.id] = start + delays[g.id]
         if arrive[g.id] > worst[s]:
             worst[s] = arrive[g.id]
-    return worst
+    return list(worst.values())
 
 
 def _reduce_cut_width(netlist: Netlist, delays: list[float],
@@ -202,7 +211,7 @@ def _reduce_cut_width(netlist: Netlist, delays: list[float],
                 after = width_around(g)
                 if (after < before and
                         max(_stage_delays_of(netlist, delays, stage,
-                                             n_stages)) <= cap + 1e-9):
+                                             (s, target))) <= cap + 1e-9):
                     changed = True
                     break
                 stage[g.id] = s
@@ -214,9 +223,11 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
                  costs: CostTable = DEFAULT_COSTS) -> PipelineDesign:
     """Cut a validated netlist into n_stages balanced stages.
 
-    Delay leveling first (bisection over the per-stage budget), then a
+    Delay leveling first (an exact search for the smallest per-stage
+    delay limit, over the arrivals the greedy passes report), then a
     register-width reduction pass that may lengthen the worst stage to
-    1.3 times the leveled one to save register bits.  Raises
+    1.3 times the leveled one to save register bits.  A gate that feeds
+    no output is placed like any other.  Raises
     TooManyStagesError when n_stages is below 1 or exceeds the circuit's
     logic depth.  A stage may still hold no gate: when every delay is 0,
     all gates level into stage 0 and the later stages only pass registers
@@ -235,17 +246,26 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
     for g in netlist.gates:
         delays[g.id] = costs.delay(g.kind)
 
-    lo = max(delays)
-    hi = critical_path_delay(netlist, costs)
-    stage = _greedy_level(netlist, delays, hi, n_stages)
-    for _ in range(60):
+    # A larger limit never needs more stages, and a pass changes only
+    # where the limit crosses an arrival.  The search keeps lo, below
+    # which no limit fits, and hi, the smallest limit known to fit, moves
+    # each to the edge its pass reports, and so ends on the pass of the
+    # smallest limit from lo up that fits.  The unbounded pass puts every
+    # gate, dead ones too, in stage 0.  No stage can hold the slowest gate
+    # under a limit below its delay, so lo starts there; the 1e-9 lets
+    # arrivals equal to a limit up to rounding fit.
+    stage, hi = _greedy_level(netlist, delays, float("inf"), n_stages)
+    lo = max(delays) + 1e-9
+    while lo < hi:
+        # Between adjacent floats the midpoint may round up to hi, whose
+        # pass is known; lo is then the one limit left to try.
         mid = (lo + hi) / 2
-        attempt = _greedy_level(netlist, delays, mid, n_stages)
+        attempt, edge = _greedy_level(netlist, delays,
+                                      mid if mid < hi else lo, n_stages)
         if attempt is None:
-            lo = mid
+            lo = edge
         else:
-            hi = mid
-            stage = attempt
+            stage, hi = attempt, edge
 
     # A signal is registered at every boundary from its own stage to the
     # last stage that reads it; the primary outputs are read at stage N.
@@ -265,10 +285,11 @@ def cut_pipeline(netlist: Netlist, n_stages: int,
     # The width pass may spend up to 30% delay slack over the balanced
     # optimum; register bits are the dominant cost of a protected pipeline,
     # so a mildly longer stage is the better trade.
-    cap = 1.3 * max(_stage_delays_of(netlist, delays, stage, n_stages))
+    cap = 1.3 * max(_stage_delays_of(netlist, delays, stage,
+                                     range(n_stages)))
     _reduce_cut_width(netlist, delays, stage, n_stages, cap, consumers,
                       last_use)
-    stage_delays = _stage_delays_of(netlist, delays, stage, n_stages)
+    stage_delays = _stage_delays_of(netlist, delays, stage, range(n_stages))
 
     last = [last_use(sig) for sig in range(netlist.signal_count)]
     cuts = [tuple(sig for sig, p in enumerate(stage) if p <= s < last[sig])

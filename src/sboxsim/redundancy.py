@@ -47,6 +47,9 @@ fault-free stage evaluations and one faulted one; a tmr replica whose
 boundary word diverged still shares its other stages.  A fault-free
 machine reads each stage from its table (StageProgram.clean), so its
 runs evaluate each distinct stage input word once, not once per cycle.
+A cycle that shares every stage leaves one register tuple for all
+replicas, and the hfs detection units compare nothing when both replicas
+read that one tuple.
 With n stages, the output for the input accepted at cycle t is emitted
 at cycle t + n (plus any stalls in between).
 """
@@ -141,7 +144,7 @@ class FcDmrMachine(_MachineBase):
     def __init__(self, design, fault=None, programs=None):
         super().__init__(design, fault, programs)
         self.regs_a = self.regs_b = self.latches = (0,) * self.n
-        self.valid = (False,) * self.n
+        self.valid = self._agree = (False,) * self.n
         self.in_hold = 0
 
     def step(self, inp: Optional[int]) -> StepRecord:
@@ -154,7 +157,10 @@ class FcDmrMachine(_MachineBase):
         if "register" in kinds:
             reads_a = fault.transform_regs(0, reads_a)
             reads_b = fault.transform_regs(1, reads_b)
-        errs = [a != b for a, b in zip(reads_a, reads_b)]
+        # One tuple read for both replicas, as a shared _advance leaves on
+        # every fault-free cycle, cannot disagree with itself.
+        errs = (self._agree if reads_a is reads_b
+                else [a != b for a, b in zip(reads_a, reads_b)])
         if "comparator" in kinds:
             errs = [fault.du_apply(s, e) for s, e in enumerate(errs)]
         g_err = True in errs

@@ -26,6 +26,9 @@ The returned netlist is checked against the published S-box table on all
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 from .gf import (FieldParams, InvalidParamsError, gf4_mul, gf16_square_scale,
                  mat8_mul, mat_apply, mat_transpose, sbox_reference)
 from .netlist import Gate, Netlist
@@ -102,25 +105,25 @@ def build_linear_block(b: NetlistBuilder, rows: list[int], in_sigs: list[int],
             raise ValueError("constant-zero row in linear block")
         terms.append(t)
 
-    while True:
-        counts: dict[tuple[int, int], int] = {}
+    # Pair counts over every row, kept up to date: a rewritten row loses
+    # its pairs with x or y and gains one with the new signal for each
+    # other term.  The builder may return an older signal for x ^ y, even
+    # one the row already holds (which then gains nothing), so pairs with
+    # it are ordered too.  A pair that drops to 0 stays, never chosen.
+    counts = Counter(p for t in terms for p in combinations(sorted(t), 2))
+    while (top := max(counts.values(), default=0)) >= 2:
+        x, y = best = min(p for p, c in counts.items() if c == top)
+        new = b.xor(x, y)
         for t in terms:
-            ordered = sorted(t)
-            for i in range(len(ordered)):
-                for j in range(i + 1, len(ordered)):
-                    pair = (ordered[i], ordered[j])
-                    counts[pair] = counts.get(pair, 0) + 1
-        if not counts:
-            break
-        best = min(counts, key=lambda p: (-counts[p], p))
-        if counts[best] < 2:
-            break
-        new = b.xor(best[0], best[1])
-        for t in terms:
-            if best[0] in t and best[1] in t:
-                t.discard(best[0])
-                t.discard(best[1])
-                t.add(new)
+            if x in t and y in t:
+                t.difference_update(best)
+                counts[best] -= 1
+                for z in t:
+                    counts[(z, x) if z < x else (x, z)] -= 1
+                    counts[(z, y) if z < y else (y, z)] -= 1
+                if new not in t:
+                    counts.update((z, new) if z < new else (new, z) for z in t)
+                    t.add(new)
 
     outs = []
     for i, t in enumerate(terms):

@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sboxsim import campaign
+from sboxsim import campaign, faults
 from sboxsim.campaign import (CampaignConfig, Classification,
                               EmptyCampaignError, default_stream,
                               enumerate_scenarios, golden_run, run_campaign,
@@ -678,6 +678,20 @@ def test_campaigns_on_one_design_share_its_programs_exactly(design, tmp_path,
         assert set(compiled[-1]) & set(compiled[0])
     assert len(builds) == 4
     assert all(b is d for b, d in zip(builds, [shared, *fresh]))
+
+
+def test_a_design_lists_each_schemes_sites_once(design, monkeypatch):
+    # Scenario enumeration and fault binding read one site list per
+    # (design object, scheme), however many campaigns and faults use it.
+    built = []
+    sites = faults._sites
+    monkeypatch.setattr(faults, "_sites",
+                        lambda d, s: built.append(s) or sites(d, s))
+    own = cut_pipeline(design.netlist, design.n_stages)
+    for scheme in ("hfs", "tmr", "hfs"):
+        run_campaign(own, CampaignConfig(scheme=scheme, sample=30, seed=3))
+    assert built == ["hfs", "tmr"]
+    assert enumerate_sites(own, "tmr") is enumerate_sites(own, "tmr")
 
 
 def test_workers_build_their_own_programs_after_the_cache_is_filled(

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sboxsim import pipeline
 from sboxsim.campaign import (CampaignConfig, enumerate_scenarios,
                               run_campaign)
 from sboxsim.faults import FaultSet, FaultSpec, GateSite
@@ -48,6 +49,54 @@ def test_single_stage_is_whole_circuit(sbox_netlist):
 def test_chain_even_split():
     d = cut_pipeline(chain_netlist(10), 5)
     assert abs(d.max_stage_delay - 2.0) < 1e-9
+
+
+def test_dead_gate_later_than_every_output_is_cut():
+    # Gate 2 feeds no output and arrives after it.  The search bounds
+    # come from a pass over every gate, so the dead gate is placed like
+    # any other, counts in its stage's delay and is latched nowhere.
+    nl = Netlist(inputs=(0,), outputs=(1,),
+                 gates=(Gate(1, "NOT", (0,)), Gate(2, "XOR2", (0, 1))))
+    d = cut_pipeline(nl, 1)
+    assert d.stage_of_gate == (0, 0)
+    assert d.cuts == ((1,),)
+    assert d.stage_delays == (DEFAULT_COSTS.delay("NOT")
+                              + DEFAULT_COSTS.delay("XOR2"),)
+    assert streaming_eval(d, [0, 1]) == [1, 0]
+
+
+def test_one_default_cut_does_bounded_work(sbox_netlist, monkeypatch):
+    # The work of one default cut, counted rather than timed: the limit
+    # search makes few greedy passes (a 60-step bisection made 61), and
+    # the width pass recomputes only the two stages a move changes, never
+    # every stage.
+    greedy, delays_of = pipeline._greedy_level, pipeline._stage_delays_of
+    width_pass = pipeline._reduce_cut_width
+    passes, widths, in_width_pass = [], [], []
+
+    def counted_greedy(*args):
+        passes.append(args[2])
+        return greedy(*args)
+
+    def counted_delays(*args):
+        out = delays_of(*args)
+        if in_width_pass:
+            widths.append(len(out))
+        return out
+
+    def marked_width_pass(*args):
+        in_width_pass.append(True)
+        try:
+            return width_pass(*args)
+        finally:
+            in_width_pass.clear()
+
+    monkeypatch.setattr(pipeline, "_greedy_level", counted_greedy)
+    monkeypatch.setattr(pipeline, "_stage_delays_of", counted_delays)
+    monkeypatch.setattr(pipeline, "_reduce_cut_width", marked_width_pass)
+    cut_pipeline(sbox_netlist, 5)
+    assert 1 <= len(passes) <= 20
+    assert widths and set(widths) == {2}
 
 
 def test_too_many_stages_rejected():

@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sboxsim.gf import (DEFAULT_PARAMS, FieldParams, InvalidParamsError,
                         derive_field_params, sbox_reference)
@@ -119,6 +120,74 @@ def test_linear_block_inversion_mask():
         got = nl.evaluate(bits)
         assert got[0] == 1 ^ bits[0] ^ bits[1]
         assert got[1] == 1 ^ bits[0]
+
+
+def recounted_linear_block(b, rows, in_sigs, invert_mask=0):
+    """build_linear_block with every row's pairs counted again at each
+    factoring step: the reference for the counts it keeps."""
+    terms = [{in_sigs[j] for j in range(len(in_sigs)) if (row >> j) & 1}
+             for row in rows]
+    while True:
+        counts = {}
+        for t in terms:
+            ordered = sorted(t)
+            for i in range(len(ordered)):
+                for j in range(i + 1, len(ordered)):
+                    pair = (ordered[i], ordered[j])
+                    counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            break
+        best = min(counts, key=lambda p: (-counts[p], p))
+        if counts[best] < 2:
+            break
+        new = b.xor(best[0], best[1])
+        for t in terms:
+            if best[0] in t and best[1] in t:
+                t.discard(best[0])
+                t.discard(best[1])
+                t.add(new)
+    outs = []
+    for i, t in enumerate(terms):
+        level = sorted(t)
+        invert = (invert_mask >> i) & 1
+        while len(level) > 1:
+            nxt = []
+            for k in range(0, len(level) - 1, 2):
+                if invert and len(level) == 2:
+                    nxt.append(b.xnor(level[k], level[k + 1]))
+                    invert = 0
+                else:
+                    nxt.append(b.xor(level[k], level[k + 1]))
+            if len(level) % 2:
+                nxt.append(level[-1])
+            level = nxt
+        outs.append(b.not_(level[0]) if invert else level[0])
+    return outs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_block_equals_recounting_every_step(data):
+    # The kept pair counts choose what recounting chooses, also when the
+    # builder already holds the XOR of a chosen pair, so that the shared
+    # signal is older than terms it joins, or holds it as a term of the
+    # same row.
+    n_in = data.draw(st.integers(2, 6))
+    pre = data.draw(st.lists(st.tuples(st.integers(0, n_in - 1),
+                                       st.integers(0, n_in - 1)),
+                             max_size=4))
+    n_late = data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(st.integers(1, 2 ** (n_in + len(pre) + n_late)
+                                          - 1), min_size=1, max_size=8))
+    invert = data.draw(st.integers(0, 2 ** len(rows) - 1))
+    builds = []
+    for block in (build_linear_block, recounted_linear_block):
+        b = NetlistBuilder(n_in)
+        early = [b.xor(i, j) for i, j in pre]
+        late = [b.and_(0, i) for i in range(n_late)]
+        outs = block(b, rows, [*b.inputs, *early, *late], invert)
+        builds.append((outs, b.kinds, b.fanins))
+    assert builds[0] == builds[1]
 
 
 def test_linear_block_rejects_zero_row():
