@@ -15,14 +15,18 @@ same position: a machine's emitted counter numbers its outputs as the
 golden run's does, stalls and ttr replays included.  A scenario keeps
 only the cycle of its first deviation.
 
-Runs exit early once the faulted machine's state, at matching input
-position, equals the golden run's snapshot and the fault window has
-closed: from that point both futures are bit-identical, so the remaining
-golden outputs are spliced in.  This is an exact check, not a heuristic,
-and it is what makes exhaustive transient campaigns cheap.  A scheme
-that never stalls (original, tmr, ttr) raises no error either, so an
-untraced run of it also stops at its first wrong output, which decides
-the row whatever follows: sdc, no stalls, that cycle (fault dropping).
+A scenario binds its fault, one spec or a list of them, as one
+ActiveFault, which alone holds the fault window: its start is where the
+scenario resumes, its end is where splicing may begin, and its last
+transient end sets the cycle cap.  Runs exit early once the faulted
+machine's state, at matching input position, equals the golden run's
+snapshot and the fault window has closed: from that point both futures
+are bit-identical, so the remaining golden outputs are spliced in.  This
+is an exact check, not a heuristic, and it is what makes exhaustive
+transient campaigns cheap.  A scheme that never stalls (original, tmr,
+ttr) raises no error either, so an untraced run of it also stops at its
+first wrong output, which decides the row whatever follows: sdc, no
+stalls, that cycle (fault dropping).
 
 Before its first fault cycle a scenario is the golden run, so it does not
 re-simulate that clean prefix: it restores the machine to the golden
@@ -71,7 +75,7 @@ from itertools import product
 from typing import Optional
 
 from .faults import (MODELS, PERMANENT, SCHEMES, SITE_KINDS, STUCK0,
-                     STUCK1, FLIP, ActiveFault, FaultSet, FaultSpec,
+                     STUCK1, FLIP, ActiveFault, FaultSpec,
                      InvalidFaultError, enumerate_sites, scheme_facts)
 from .pipeline import PipelineDesign, build_stage_programs
 from .redundancy import feed, majority3, make_machine
@@ -144,43 +148,37 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
 
     spec is one FaultSpec, or a list of them for a simultaneous multi-fault
     scenario (classification only; no scheme guarantees multi-fault
-    correction).  Returns (Classification, trace) where trace is a list of
-    StepRecord when requested, else None.  An untraced scenario starts
-    from the golden snapshot at its first fault cycle; a traced one runs
-    from cycle 0.  A lone permanent fault from cycle 0 on original, tmr or
-    ttr, untraced, is classified without a machine by one bit-sliced pass
-    (see the module docstring).  Raises InvalidFaultError when the
-    earliest start is not before the end of the golden run; a later
-    member of a set may still fire, once stalls lengthen the run.
+    correction), bound as one ActiveFault, which holds the fault window.
+    Returns (Classification, trace) where trace is a list of StepRecord
+    when requested, else None.  An untraced scenario starts from the
+    golden snapshot at the fault's start; a traced one runs from cycle 0.
+    A lone permanent fault from cycle 0 on original, tmr or ttr, untraced,
+    is classified without a machine by one bit-sliced pass (see the
+    module docstring).  Raises ValueError for an empty list, and
+    InvalidFaultError when the earliest start is not before the end of
+    the golden run; a later member of a set may still fire, once stalls
+    lengthen the run.
     """
     if not isinstance(stream, (bytes, list)):
         stream = list(stream)
     programs = stage_programs(design)
     if golden is None:
         golden = golden_run(scheme, design, stream)
-    specs = list(spec) if isinstance(spec, (list, tuple)) else [spec]
-    if not specs:
-        raise ValueError("empty fault set: a scenario needs a fault")
-    first = min(s.start_cycle for s in specs)
-    _check_start(first, golden)
-    fault = (FaultSet.bind(specs, design, scheme) if len(specs) > 1
-             else ActiveFault(specs[0], design, scheme))
+    fault = ActiveFault(spec, design, scheme)
+    _check_start(fault.start, golden)
     stalls = SCHEMES[scheme].stalls
-    if (len(specs) == 1 and not collect_trace
-            and specs[0].duration is PERMANENT and specs[0].start_cycle == 0
-            and not stalls
+    if (len(fault.specs) == 1 and fault.end is None and fault.start == 0
+            and not (collect_trace or stalls)
             and len(design.netlist.inputs) <= _MAX_LANE_INPUTS):
         return _classify_permanent(scheme, design, stream, fault, golden,
                                    programs), None
     m = make_machine(scheme, design, fault, programs)
     if not collect_trace:
-        # No fault is active before the first start, so until then the
-        # faulted run is the golden run: resume from its snapshot.
-        m.restore(golden.states[first], first)
-
-    window = max(0 if s.duration is PERMANENT else s.start_cycle + s.duration
-                 for s in specs)
-    cap = golden.cycles + window + _MAX_EXTRA_CYCLES
+        # No fault is active before its start, so until then the faulted
+        # run is the golden run: resume from its snapshot.
+        m.restore(golden.states[fault.start], fault.start)
+    cap = golden.cycles + fault.last_end + _MAX_EXTRA_CYCLES
+    end = fault.end
 
     trace = [] if collect_trace else None
     detected = False
@@ -202,7 +200,7 @@ def run_scenario(scheme: str, design: PipelineDesign, stream,
             break
         # Exact convergence check: fault gone, machine unstalled, state
         # identical to the golden run at the same input position.
-        if fault.expired(m.cycle) and not rec.global_err:
+        if end is not None and m.cycle >= end and not rec.global_err:
             idx = m.cycle - m.stall_cycles
             if idx < len(golden.states) and \
                     m.canonical_state() == golden.states[idx]:
@@ -234,7 +232,7 @@ def _classify_permanent(scheme: str, design: PipelineDesign, stream,
     row of its result buffer is outvoted by the two clean rows, so its
     output is that replica's words, as for original."""
     n_lanes = programs[0].n_lanes
-    site = fault.spec.site
+    site = fault.specs[0].site
     reg = site if site.kind == "register" else None
     if reg is not None:
         # The stuck bit as the fault's own table reads it, in every lane.

@@ -30,16 +30,19 @@ bits m is (~m, 0, 0), stuck-at-1 is (-1, m, 0) and a flip is (-1, 0, m).
 A register entry's stage is its boundary, and a comparator's triple acts
 on bit 0.  A gate entry is keyed by its gate's stage and holds the
 override set {(gate id, triple on bit 0)}.  The five hooks the machines
-call are lookups in this table, and a FaultSet merges its active
-members' tables into its own: a later gate fault replaces an earlier one
-on the same gate, and triples on one word compose in list order.  Hooks
-answer for the cycle last passed to active(), which the machines call
+call are lookups in this table.  One ActiveFault binds one spec or a
+list of them, and alone knows their window: its table merges the tables
+of the members active at a cycle, so a later gate fault replaces an
+earlier one on the same gate, and triples on one word compose in list
+order.  Hooks answer for the fault's start until active() is first
+called, and then for the cycle last passed to it, which the machines do
 first in every cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import inf
 from typing import Optional, Union
 
 from .pipeline import PipelineDesign
@@ -87,13 +90,14 @@ class InvalidFaultError(ValueError):
 
 
 def _check_ints(site) -> None:
-    """Every site field is a plain int: a float or bool equal to one
-    would look up as that site, yet print as itself and index nothing."""
+    """Every site field is a nonnegative plain int: a float or bool equal
+    to one would look up as that site, yet print as itself and index
+    nothing, and a negative one would print as text parse_site rejects."""
     for name in site.__slots__:
         value = getattr(site, name)
-        if type(value) is not int:
+        if type(value) is not int or value < 0:
             raise InvalidSiteError(f"{type(site).__name__}.{name} must be "
-                                   f"an integer, got {value!r}")
+                                   f"a nonnegative integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,61 +243,99 @@ def _then(t: tuple, u: tuple) -> tuple:
     return a & a2, o & a2 | o2, x & a2 & ~o2 ^ x2
 
 
-def _merged(tables) -> dict:
-    """One table from several, their entries for one key joined in order:
-    a later gate override replaces an earlier one on the same gate, and
-    triples on one word compose with _then."""
-    out = {}
-    for table in tables:
-        for key, v in table.items():
-            if key in out:
-                v = (frozenset({**dict(out[key]), **dict(v)}.items())
-                     if key[0] == "gate" else _then(out[key], v))
-            out[key] = v
-    return out
-
-
 class ActiveFault:
-    """One FaultSpec bound to a design and scheme, as a one-entry table
-    keyed by (kind, replica, stage) (see the module docstring).
+    """One FaultSpec, or a list of them applied in list order, bound to a
+    design and scheme as one table keyed by (kind, replica, stage) (see
+    the module docstring).
+
+    Each member keeps its own window and its one table entry.  start is
+    the earliest member start; end is the latest member end, or None if a
+    member is permanent; last_end is the latest end of a transient member,
+    0 if there is none (a run's cycle cap counts it).  active(cycle)
+    merges the entries of the members active at cycle, and keeps the span
+    around cycle in which no member starts or ends: it merges again only
+    for a cycle outside that span, so a set costs what a lone fault costs
+    per cycle.  A set carries no correction guarantee; it exists so the
+    classifier can report what actually happens.
 
     Machines call active(cycle) once per cycle and consult the hooks only
     while it is true.  Hooks are read transforms: they never modify
-    stored state.  kinds holds the site's kind; each hook is the identity
-    for sites of any other kind (it finds no entry of its own kind), so
-    machines call only the hooks of the kinds a fault has (gate:
-    gate_overrides; register: transform_regs and reg_read; comparator:
-    du_apply; voter_latch: latch_read).
+    stored state.  kinds holds the members' site kinds; each hook is the
+    identity for sites of any other kind (it finds no entry of its own
+    kind), so machines call only the hooks of the kinds a fault has
+    (gate: gate_overrides; register: transform_regs and reg_read;
+    comparator: du_apply; voter_latch: latch_read).
     """
 
-    def __init__(self, spec: FaultSpec, design: PipelineDesign, scheme: str):
-        site = spec.site
+    def __init__(self, spec, design: PipelineDesign, scheme: str):
+        specs = (spec,) if isinstance(spec, FaultSpec) else tuple(spec)
+        if not specs:
+            raise ValueError("empty fault set: a scenario needs a fault")
         sites = design._derived(("site set", scheme), lambda: frozenset(
             enumerate_sites(design, scheme)))
-        if site not in sites:
-            raise InvalidSiteError(f"no site {site} in the {scheme} design")
-        self.spec = spec
-        self.start = spec.start_cycle
-        self.end = (None if spec.duration is PERMANENT
-                    else spec.start_cycle + spec.duration)
-        entry = _triple(spec.model, 1 << getattr(site, "bit", 0))
-        if site.kind == "gate":
-            stage = design.stage_of_gate[site.gate_id
-                                         - len(design.netlist.inputs)]
-            entry = frozenset({(site.gate_id, entry)})
+        self.specs = specs
+        self._members = members = []    # (start, end or inf, key, entry)
+        first, last, last_end, kinds = inf, 0, 0, set()
+        for spec in specs:
+            site = spec.site
+            if site not in sites:
+                raise InvalidSiteError(
+                    f"no site {site} in the {scheme} design")
+            entry = _triple(spec.model, 1 << getattr(site, "bit", 0))
+            if site.kind == "gate":
+                stage = design.stage_of_gate[site.gate_id
+                                             - len(design.netlist.inputs)]
+                entry = frozenset(((site.gate_id, entry),))
+            else:
+                stage = site.stage
+            start = spec.start_cycle
+            end = inf if spec.duration is PERMANENT else start + spec.duration
+            key = (site.kind, getattr(site, "replica", 0), stage)
+            members.append((start, end, key, entry))
+            # Comparisons, not min and max: every scenario binds a fault.
+            first = start if start < first else first
+            last = end if end > last else last
+            last_end = end if last_end < end < inf else last_end
+            kinds.add(site.kind)
+        self.kinds = frozenset(kinds)
+        self.start, self.last_end = first, last_end
+        self.end = None if last == inf else last
+        if len(members) == 1:   # a lone fault: its window, its one entry
+            self._lo, self._hi, self._on = start, end, True
+            self._table = {key: entry}
         else:
-            stage = site.stage
-        self._table = {(site.kind, getattr(site, "replica", 0), stage): entry}
-        self.kinds = frozenset((site.kind,))
+            self._merge(first)
+
+    def _merge(self, cycle: int) -> None:
+        """The hooks' table for cycle, the entries of the members active at
+        cycle joined in list order: a later gate override replaces an
+        earlier one on the same gate, and triples on one word compose with
+        _then.  Also the span [lo, hi) around cycle in which no member
+        starts or ends."""
+        lo, hi, table = 0, inf, {}
+        for start, end, key, entry in self._members:
+            if cycle < start:
+                hi = start if start < hi else hi
+            elif cycle < end:
+                lo = start if start > lo else lo
+                hi = end if end < hi else hi
+                if key in table:
+                    entry = (frozenset({**dict(table[key]),
+                                        **dict(entry)}.items())
+                             if key[0] == "gate" else _then(table[key], entry))
+                table[key] = entry
+            else:
+                lo = end if end > lo else lo
+        self._lo, self._hi, self._on, self._table = lo, hi, bool(table), table
 
     def active(self, cycle: int) -> bool:
-        return cycle >= self.start and (self.end is None or cycle < self.end)
+        if not self._lo <= cycle < self._hi:
+            self._merge(cycle)
+        return self._on
 
-    def expired(self, cycle: int) -> bool:
-        return self.end is not None and cycle >= self.end
-
-    # The hooks answer for the cycle last passed to active() and are only
-    # consulted while it was true, so they skip the window check.
+    # The hooks answer for the cycle last passed to active() (for start
+    # before the first call) and are only consulted while it was true, so
+    # they skip the window check.
 
     def gate_overrides(self, stage: int, replica: int) -> Optional[frozenset]:
         return self._table.get(("gate", replica, stage))
@@ -319,37 +361,3 @@ class ActiveFault:
 
     def latch_read(self, boundary: int, word: int) -> int:
         return self._read(("voter_latch", 0, boundary), word)
-
-
-class FaultSet(ActiveFault):
-    """Several simultaneous faults, applied in list order.
-
-    Multi-fault scenarios carry no correction guarantee; they exist so the
-    classifier can report what actually happens.  Member windows are
-    checked per cycle, so faults with different start/duration compose:
-    active(cycle) merges the tables of the members active at that cycle
-    whenever that set of members changes.  kinds is the union of the
-    members' site kinds.
-    """
-
-    def __init__(self, faults: list):
-        if not faults:
-            raise ValueError("empty fault set")
-        self.faults = list(faults)
-        self.kinds = frozenset().union(*(f.kinds for f in self.faults))
-        self._live = ()     # the members the table was merged from
-        self._table = {}
-
-    @classmethod
-    def bind(cls, specs, design: PipelineDesign, scheme: str) -> "FaultSet":
-        return cls([ActiveFault(s, design, scheme) for s in specs])
-
-    def active(self, cycle: int) -> bool:
-        live = tuple(f for f in self.faults if f.active(cycle))
-        if live != self._live:
-            self._live = live
-            self._table = _merged(f._table for f in live)
-        return bool(live)
-
-    def expired(self, cycle: int) -> bool:
-        return all(f.expired(cycle) for f in self.faults)

@@ -29,12 +29,12 @@ The same generator also emits a lane mode for bit-sliced evaluation: the
 stage reads and returns a tuple of slot words, bit x of each word being
 that slot's value for input value x, so one call evaluates the stage for
 every input value (2**n_inputs lanes; 256 for the S-box).  The all-ones
-lane mask stands in for the gate table's constant one, and a forced gate
-is read through its triple with each mask widened from bit 0 to 0 or the
-lane mask.  A lane variant is compiled once per set of forced gates and
-reads their widened triples from a dict argument, as the masked body
-reads F, so stuck-at-0, stuck-at-1 and flip on one gate share one
-variant; the tests check each against the scalar masked body.
+lane mask stands in for the gate table's constant one.  A lane variant is
+compiled once per set of forced gates and reads their triples from the
+same dict the masked body reads, F, widening each mask from its bit 0 to
+0 or the lane mask in its own code, so stuck-at-0, stuck-at-1 and flip on
+one gate share one variant; the tests check each against the scalar
+masked body.
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ class StageProgram:
     boundary slot whose bit x is that slot's value for input value x, and
     it returns the captured slot words as a tuple.  It runs the lane
     variant of the override set's forced gates, compiled once per such
-    gate set, on a dict of their widened triples built once per override
-    set.
+    gate set.  Both modes read one dict of triples per override set, built
+    on its first use.
     """
 
     def __init__(self, design: PipelineDesign, s: int):
@@ -352,7 +352,6 @@ class StageProgram:
         # perfbench's measure() keeps a float per timed scenario, its
         # peak RSS then passed its bound (+27-29%; ROADMAP item 1).
         self._lane_variants: dict = {}   # forced gate ids -> variant
-        self._lane_calls: dict = {}      # override set -> (variant, masks)
         self.fast = self._compile()
         # fast is looked up on each miss, so a wrapped fast sees them all.
         self.clean = cache(lambda prev: self.fast(prev))
@@ -365,7 +364,7 @@ class StageProgram:
         argument F, a dict from gate id to an (and, or, xor) triple, and
         reads each gate in F as (value & and | or) ^ xor.  A lane body
         takes F too, and reads each gate in forced, a set of gate ids,
-        through F's triple for it."""
+        through F's triple for it, each mask widened from its bit 0."""
         one = "m" if lanes else "1"
         local = {g.id for g in self.gates}
         reads = {f for g in self.gates for f in g.fanin if f not in local}
@@ -379,7 +378,7 @@ class StageProgram:
                                            one=one)
             if g.id in forced:
                 lines.append(f"    a, o, x = F[{g.id}]")
-                expr = f"(({expr}) & a | o) ^ x"
+                expr = f"(({expr}) & -(a & 1) | m & -(o & 1)) ^ m & -(x & 1)"
             lines.append(f"    s{g.id} = {expr}")
             if masked:
                 lines += [f"    if {g.id} in F:",
@@ -401,26 +400,21 @@ class StageProgram:
     # perfbench/tracing.py counts the faulted path by this method's name.
     def interp(self, prev: int, overrides: frozenset) -> int:
         triples = self._triples.get(overrides)
-        if triples is None:
-            if self._masked is None:
-                self._masked = self._compile(masked=True)
-            triples = self._triples[overrides] = dict(overrides)
+        if triples is None or self._masked is None:
+            triples = self._triples.setdefault(overrides, dict(overrides))
+            self._masked = self._masked or self._compile(masked=True)
         return self._masked(prev, triples)
 
     def lanes(self, words: tuple, overrides: frozenset) -> tuple:
-        call = self._lane_calls.get(overrides)
-        if call is None:
-            # Each mask widened from its bit 0 to 0 or the lane mask.
-            m = (1 << self.n_lanes) - 1
-            masks = {g: tuple(m if v & 1 else 0 for v in t)
-                     for g, t in overrides}
-            forced = frozenset(masks)
-            fn = self._lane_variants.get(forced)
-            if fn is None:
-                fn = self._lane_variants[forced] = self._compile(forced, True)
-            call = self._lane_calls[overrides] = (fn, masks)
-        fn, masks = call
-        return fn(words, masks)
+        triples = self._triples.get(overrides)
+        if triples is None:
+            triples = self._triples[overrides] = dict(overrides)
+        # No override set forces no gate: the clean stages' one lookup.
+        forced = overrides and frozenset(triples)
+        fn = self._lane_variants.get(forced)
+        if fn is None:
+            fn = self._lane_variants[forced] = self._compile(forced, True)
+        return fn(words, triples)
 
 
 def build_stage_programs(design: PipelineDesign) -> list[StageProgram]:

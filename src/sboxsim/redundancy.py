@@ -30,10 +30,10 @@ nothing is copied either way.  The campaign runner uses restore to start
 a scenario from the golden run at its first fault cycle.  The stall count
 is not part of the state; a restored machine keeps its own.
 
-Faults are bound at construction as an ActiveFault (or None) and perturb
-reads only; see the faults module.  A machine calls only the hooks of
-the site kinds its fault has (ActiveFault.kinds): each hook is the
-identity for any other kind.
+Faults are bound at construction as one ActiveFault, of one spec or of
+several, or None, and perturb reads only; see the faults module.  A
+machine calls only the hooks of the site kinds its fault has
+(ActiveFault.kinds): each hook is the identity for any other kind.
 
 Clocking convention, one step() per cycle: outputs and error flags are
 sampled from current register state, stage logic evaluates (_advance,

@@ -19,6 +19,8 @@ from sboxsim.pipeline import cut_pipeline, streaming_eval
 from sboxsim.redundancy import FcDmrMachine
 from sboxsim.synth import synth_sbox
 
+from test_stall_law import assert_rows_follow_stall_law
+
 P = DEFAULT_PARAMS
 
 
@@ -83,6 +85,16 @@ def test_criterion_3_fcdmr_correction_guarantee(design, hfs_exhaustive, acceptan
                       f"uncorrected={res.counts['detected_uncorrected']} "
                       f"corrected={res.counts['detected_corrected']} "
                       f"masked={res.counts['masked']}")
+
+
+def test_criterion_3_stalls_last_as_long_as_the_fault(design,
+                                                     hfs_exhaustive):
+    """Criterion 3's rows are the stall law's (see test_stall_law): the
+    control unit holds the voter output till the fault effect disappears,
+    and no longer.  Checked alongside criterion 3, with no line of its
+    own."""
+    cfg, res = hfs_exhaustive
+    assert_rows_follow_stall_law(design, cfg, res)
 
 
 def test_criterion_4_guarantee_matrix(design, acceptance_report):

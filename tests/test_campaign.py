@@ -26,6 +26,9 @@ from sboxsim.pipeline import StageProgram, build_stage_programs, cut_pipeline
 from sboxsim.redundancy import make_machine
 from sboxsim.synth import synth_sbox
 
+from test_stall_law import (assert_rows_follow_stall_law,
+                            cycle_0_exceptions)
+
 
 @pytest.fixture(scope="module")
 def design():
@@ -868,6 +871,9 @@ def test_correction_guarantee_holds_for_stuck_at_transients(design):
     res = run_campaign(design, cfg)
     assert res.counts["sdc"] == 0
     assert res.counts["detected_uncorrected"] == 0
+    # Each stall lasts as long as the fault's effect does: the rows are the
+    # stall law's, but for the listed register stuck-ats from reset.
+    assert_rows_follow_stall_law(design, cfg, res, cycle_0_exceptions((10,)))
 
 
 def test_correction_guarantee_holds_for_alternate_params():

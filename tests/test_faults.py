@@ -4,10 +4,10 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sboxsim.faults import (FLIP, MODELS, SCHEMES, SITE_KINDS,
-                            ActiveFault, ComparatorSite, FaultSet, FaultSpec,
+                            ActiveFault, ComparatorSite, FaultSpec,
                             GateSite, InvalidFaultError, InvalidSiteError,
                             PERMANENT, RegisterSite, VoterLatchSite,
                             enumerate_sites, parse_site)
@@ -50,8 +50,8 @@ def test_spec_accepts_exactly_the_valid_triples(model, start, duration):
                   if duration is not PERMANENT else model != FLIP))
     try:
         FaultSpec(GateSite(8, 0), model, start, duration)
-    except InvalidFaultError:
-        assert not valid
+    except InvalidFaultError as err:
+        assert not valid and "\n" not in str(err)
     else:
         assert valid
 
@@ -95,10 +95,11 @@ def test_bound_fault_window(design):
     assert not f.active(4)
     assert f.active(5) and f.active(7)
     assert not f.active(8)
-    assert f.expired(8) and not f.expired(7)
+    assert (f.start, f.end, f.last_end) == (5, 8, 8)
     perm = ActiveFault(FaultSpec(GateSite(design.netlist.gates[0].id, 0),
                                  "sa1", 2, PERMANENT), design, "hfs")
-    assert perm.active(10 ** 9) and not perm.expired(10 ** 9)
+    assert perm.active(10 ** 9)
+    assert (perm.start, perm.end, perm.last_end) == (2, None, 0)
 
 
 def test_register_overlay_models(design):
@@ -142,20 +143,72 @@ def test_voter_latch_overlay(design):
 
 
 def test_fault_set_composes_windows(design):
-    fs = FaultSet.bind([FaultSpec(RegisterSite(1, 0, 0), "flip", 2, 2),
-                        FaultSpec(RegisterSite(1, 1, 0), "flip", 5, 2)],
-                       design, "hfs")
+    specs = [FaultSpec(RegisterSite(1, 0, 0), "flip", 2, 2),
+             FaultSpec(RegisterSite(1, 1, 0), "flip", 5, 2)]
+    fs = ActiveFault(specs, design, "hfs")
+    assert fs.specs == tuple(specs)
     assert fs.active(2) and fs.active(6)
     assert not fs.active(4)       # between the two windows
     assert not fs.active(8)
-    assert not fs.expired(6)
-    assert fs.expired(7)
+    assert (fs.start, fs.end, fs.last_end) == (2, 7, 7)
     # At cycle 2 only the first member applies; at 5 only the second.
     # Hooks answer for the cycle last passed to active().
     fs.active(2)
     assert fs.transform_regs(0, [0] * 5)[1] == 0b01
     fs.active(5)
     assert fs.transform_regs(0, [0] * 5)[1] == 0b10
+
+
+def test_a_set_with_a_permanent_member_has_no_end(design):
+    # The window never ends, but the run's cycle cap still counts the
+    # latest transient end.
+    fs = ActiveFault([FaultSpec(ComparatorSite(1), "sa1", 40, PERMANENT),
+                      FaultSpec(RegisterSite(1, 0, 0), "flip", 30, 20)],
+                     design, "hfs")
+    assert (fs.start, fs.end, fs.last_end) == (30, None, 50)
+
+
+@pytest.mark.parametrize("empty", [[], ()])
+def test_an_empty_fault_set_is_rejected(design, empty):
+    with pytest.raises(ValueError, match="^empty fault set"):
+        ActiveFault(empty, design, "hfs")
+
+
+def _counted_merges(monkeypatch) -> list:
+    """The cycles ActiveFault merges its members' tables for, in order."""
+    cycles = []
+    merge = ActiveFault._merge
+    monkeypatch.setattr(ActiveFault, "_merge", lambda self, cycle:
+                        cycles.append(cycle) or merge(self, cycle))
+    return cycles
+
+
+def test_a_set_merges_once_per_member_edge(design, monkeypatch):
+    # Over a monotonic run, a set merges once for the first cycle and
+    # once per member edge (a start, or a transient end) it crosses.
+    _, (g, *_) = _gates_of_one_stage(design)
+    specs = [FaultSpec(RegisterSite(1, 0, 0), "flip", 20, 30),
+             FaultSpec(GateSite(g, 1), "sa1", 35, PERMANENT),
+             FaultSpec(ComparatorSite(2), "sa0", 100, 7)]
+    fault = ActiveFault(specs, design, "hfs")
+    merges = _counted_merges(monkeypatch)
+    for cyc in range(600):
+        fault.active(cyc)
+    edges = {20, 50, 35, 100, 107}
+    assert len(merges) <= len(edges) + 1
+    assert merges == [0, *sorted(edges)]
+
+
+def test_a_lone_fault_merges_only_when_its_window_closes(design,
+                                                         monkeypatch):
+    merges = _counted_merges(monkeypatch)
+    for duration, closes in ((3, [10]), (PERMANENT, [])):
+        merges.clear()
+        fault = ActiveFault(FaultSpec(RegisterSite(1, 0, 0), "sa1", 7,
+                                      duration), design, "hfs")
+        for cyc in range(7, 600):
+            fault.active(cyc)
+        assert merges == closes
 
 
 def test_invalid_sites_rejected(design):
@@ -248,6 +301,47 @@ def test_parse_site_inverts_str(design, scheme):
         assert parse_site(str(site)) == site
 
 
+# A bad site field: a negative int, or a value of another type that may
+# compare equal to a valid one.
+_BAD_FIELD = (st.integers(max_value=-1) | st.floats(-1, 9) | st.booleans()
+              | st.text(max_size=3) | st.none())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cls=st.sampled_from([GateSite, RegisterSite, ComparatorSite,
+                            VoterLatchSite]),
+       fields=st.lists(st.integers(0, 2**40), min_size=3, max_size=3),
+       bad=st.none() | st.tuples(st.integers(0, 2), _BAD_FIELD),
+       model=st.sampled_from(MODELS), start=st.integers(0, 2**40),
+       duration=st.none() | st.integers(1, 2**40))
+@example(cls=GateSite, fields=[60, 0, 0], bad=(1, -1), model=FLIP, start=0,
+         duration=1)
+@example(cls=RegisterSite, fields=[1, 2, 0], bad=(1, 2.0), model=FLIP,
+         start=0, duration=1)
+def test_sites_and_specs_round_trip_through_their_text(cls, fields, bad,
+                                                       model, start,
+                                                       duration):
+    # A site whose fields are nonnegative ints prints as text that parses
+    # back to it, and so does a spec on it (its site, model and window
+    # fields); a bad field is an InvalidSiteError of one line.
+    fields = fields[:len(cls.__slots__)]
+    if bad is not None and bad[0] < len(fields):
+        fields[bad[0]] = bad[1]
+        with pytest.raises(InvalidSiteError) as err:
+            cls(*fields)
+        assert "\n" not in str(err.value)
+        return
+    site = cls(*fields)
+    assert parse_site(str(site)) == site
+    if duration is PERMANENT and model == FLIP:
+        duration = 1
+    spec = FaultSpec(site, model, start, duration)
+    text, model_text, window = str(spec).rsplit(":", 2)
+    begin, length = window.removeprefix("@").split("+")
+    assert FaultSpec(parse_site(text), model_text, int(begin),
+                     PERMANENT if length == "perm" else int(length)) == spec
+
+
 def test_parse_site_replica_may_be_short():
     assert parse_site("gate:60") == GateSite(60, 0)
     assert parse_site("gate:60:1") == GateSite(60, 1)
@@ -275,65 +369,122 @@ def _read(model, word, mask):
     return word ^ mask
 
 
-@pytest.mark.parametrize("first,second", list(product(MODELS, repeat=2)))
-@pytest.mark.parametrize("bits", [(3, 3), (3, 0)], ids=["same", "different"])
-def test_fault_set_composes_like_its_members_one_by_one(design, first,
-                                                        second, bits):
-    # Two faults each on one register word, one voter-latch word and one
-    # comparator, with overlapping windows (cycles 2-5 and 4-7): at every
-    # cycle each hook equals the active members applied one at a time, in
-    # list order.  A comparator has bit 0 only.
-    members = []
-    for model, bit, start in ((first, bits[0], 2), (second, bits[1], 4)):
-        for site, mask in ((RegisterSite(1, bit, 1), 1 << bit),
-                           (VoterLatchSite(1, bit), 1 << bit),
-                           (ComparatorSite(2), 1)):
-            members.append((FaultSpec(site, model, start, 4), mask))
-    fs = FaultSet.bind([spec for spec, _ in members], design, "hfs")
-    width = len(design.cuts[1])
-    rng = random.Random(5)
-    words = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(14)]
-    regs = words[:design.n_stages]
+def assert_hooks_follow_members(design, fault, specs, cycle, words):
+    """Every hook of fault, for cycle, equals the members active at cycle
+    applied one at a time in list order; a later gate fault replaces an
+    earlier one on the same gate.  A comparator has bit 0 only."""
+    n_in, n = len(design.netlist.inputs), design.n_stages
+    live = [spec for spec in specs if spec.start_cycle <= cycle
+            and (spec.duration is PERMANENT
+                 or cycle < spec.start_cycle + spec.duration)]
 
-    for cyc in range(10):
-        live = [(spec.site.kind, spec.model, mask) for spec, mask in members
-                if spec.start_cycle <= cyc < spec.start_cycle + spec.duration]
-        assert fs.active(cyc) == bool(live)
-        if not live:
-            continue
+    def want(kind, replica, stage, word):
+        for spec in live:
+            site = spec.site
+            if (site.kind, getattr(site, "replica", 0),
+                    getattr(site, "stage", None)) == (kind, replica, stage):
+                word = _read(spec.model, word, 1 << getattr(site, "bit", 0))
+        return word
 
-        def want(kind, word):
-            for k, model, mask in live:
-                if k == kind:
-                    word = _read(model, word, mask)
-            return word
-
+    for r in (0, 1):
         for w in words:
-            assert fs.reg_read(1, 1, w) == want("register", w)
-            assert fs.reg_read(0, 1, w) == w
-            assert fs.reg_read(1, 2, w) == w
-            assert fs.latch_read(1, w) == want("voter_latch", w)
-            assert fs.latch_read(0, w) == w
-        assert fs.transform_regs(1, regs) == \
-            tuple(want("register", w) if b == 1 else w
-                  for b, w in enumerate(regs))
-        assert fs.transform_regs(0, regs) == regs
+            for b in range(n):
+                assert fault.reg_read(r, b, w) == want("register", r, b, w)
+        regs = tuple(words[:n])
+        assert fault.transform_regs(r, regs) == \
+            tuple(want("register", r, b, w) for b, w in enumerate(regs))
+        for s in range(n):
+            forced = {spec.site.gate_id: spec.model for spec in live
+                      if spec.site.kind == "gate" and spec.site.replica == r
+                      and design.stage_of_gate[spec.site.gate_id - n_in] == s}
+            # Each override is a (gate id, triple) pair whose read of the
+            # gate's value, 0 or 1, is the winning model's.
+            ov = fault.gate_overrides(s, r) or ()
+            assert {g: tuple((v & a | o) ^ x for v in (0, 1))
+                    for g, (a, o, x) in ov} == \
+                {g: tuple(_read(model, v, 1) for v in (0, 1))
+                 for g, model in forced.items()}
+    for s in range(n):
+        for w in words:
+            assert fault.latch_read(s, w) == want("voter_latch", 0, s, w)
         for err in (False, True):
-            assert fs.du_apply(2, err) is bool(want("comparator", err))
-            assert fs.du_apply(1, err) is err
+            assert fault.du_apply(s, err) is \
+                bool(want("comparator", 0, s, err))
 
 
-def test_fault_set_later_gate_fault_replaces_earlier(design):
+def _gates_of_one_stage(design):
     n_in = len(design.netlist.inputs)
     by_stage = {}
     for g in design.netlist.gates:
         by_stage.setdefault(design.stage_of_gate[g.id - n_in], []).append(g.id)
-    stage, (g, h, *_) = next((s, ids) for s, ids in by_stage.items()
-                             if len(ids) > 1)
+    return next((s, ids) for s, ids in by_stage.items() if len(ids) > 1)
+
+
+@pytest.mark.parametrize("first,second", list(product(MODELS, repeat=2)))
+@pytest.mark.parametrize("bits", [(3, 3), (3, 0)], ids=["same", "different"])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_fault_set_composes_like_its_members_one_by_one(design, first,
+                                                        second, bits, data):
+    # Two faults each on one register word, one voter-latch word, one
+    # comparator and one gate, with overlapping windows (cycles 2-5 and
+    # 4-7): at every cycle each hook equals the active members applied one
+    # at a time, in list order.
+    _, (g, h, *_) = _gates_of_one_stage(design)
+    members = [FaultSpec(site, model, start, 4)
+               for model, bit, start in ((first, bits[0], 2),
+                                         (second, bits[1], 4))
+               for site in (RegisterSite(1, bit, 1), VoterLatchSite(1, bit),
+                            ComparatorSite(2), GateSite(g, 1))]
+    width = len(design.cuts[1])
+    rng = random.Random(5)
+    words = [0, (1 << width) - 1, rng.getrandbits(width)]
+    fs = ActiveFault(members, design, "hfs")
+    for cyc in range(10):
+        assert fs.active(cyc) == (2 <= cyc < 8)
+        assert_hooks_follow_members(design, fs, members, cyc, words)
+
+    # Generated sets of 1-4 members over every site kind, drawn from a
+    # few sites that share words and gates, with this case's two models
+    # and bits and windows that may be permanent.  Hooks answer for the
+    # start before any active() call, then for each cycle of 0..40 in a
+    # shuffled order.
+    pools = {"gate": [GateSite(g, 0), GateSite(g, 1), GateSite(h, 1)],
+             "register": [RegisterSite(1, b, r) for b in set(bits)
+                          for r in (0, 1)] + [RegisterSite(2, 0, 1)],
+             "voter_latch": [VoterLatchSite(1, b) for b in set(bits)],
+             "comparator": [ComparatorSite(2), ComparatorSite(1)]}
+    member = st.builds(
+        lambda site, model, start, duration: FaultSpec(
+            site, model, start,
+            1 if duration is PERMANENT and model == FLIP else duration),
+        st.sampled_from(SITE_KINDS).flatmap(
+            lambda kind: st.sampled_from(pools[kind])),
+        st.sampled_from((first, second)), st.integers(0, 20),
+        st.none() | st.integers(1, 20))
+    specs = data.draw(st.lists(member, min_size=1, max_size=4))
+    ends = [s.start_cycle + s.duration for s in specs
+            if s.duration is not PERMANENT]
+    fault = ActiveFault(specs, design, "hfs")
+    assert fault.specs == tuple(specs)
+    assert fault.start == min(s.start_cycle for s in specs)
+    assert fault.end == (None if len(ends) < len(specs) else max(ends))
+    assert fault.last_end == max(ends, default=0)
+    assert_hooks_follow_members(design, fault, specs, fault.start, words)
+    for cyc in data.draw(st.permutations(range(41))):
+        assert fault.active(cyc) == any(
+            s.start_cycle <= cyc and (s.duration is PERMANENT
+                                      or cyc < s.start_cycle + s.duration)
+            for s in specs)
+        assert_hooks_follow_members(design, fault, specs, cyc, words)
+
+
+def test_fault_set_later_gate_fault_replaces_earlier(design):
+    stage, (g, h, *_) = _gates_of_one_stage(design)
     specs = [FaultSpec(GateSite(g, 1), "sa0", 2, 4),
              FaultSpec(GateSite(h, 1), "flip", 3, 2),
              FaultSpec(GateSite(g, 1), "sa1", 4, 4)]
-    fs = FaultSet.bind(specs, design, "hfs")
+    fs = ActiveFault(specs, design, "hfs")
     for cyc in range(10):
         merged = {}
         for spec in specs:

@@ -13,8 +13,8 @@ from sboxsim import campaign
 from sboxsim.campaign import (DEFAULT_SEED, CampaignConfig, default_stream,
                               enumerate_scenarios, golden_run, run_scenario)
 from sboxsim.faults import (SCHEMES, ActiveFault, ComparatorSite,
-                            FaultSet, FaultSpec, GateSite, PERMANENT,
-                            RegisterSite, VoterLatchSite)
+                            FaultSpec, GateSite, PERMANENT, RegisterSite,
+                            VoterLatchSite)
 from sboxsim.gf import DEFAULT_PARAMS, sbox_reference
 from sboxsim.pipeline import build_stage_programs, cut_pipeline
 from sboxsim.redundancy import (MACHINE_CLASSES, FcDmrMachine, feed,
@@ -413,11 +413,6 @@ def reference_machine(scheme, design, fault):
     return Reference(design, fault and EveryHook(fault))
 
 
-def bind(specs, design, scheme):
-    return (FaultSet.bind(specs, design, scheme) if len(specs) > 1
-            else ActiveFault(specs[0], design, scheme))
-
-
 def sharing_cases(design, scheme):
     gate = design.netlist.gates[60].id
     cases = [[FaultSpec(GateSite(gate, r), model, 7, 3)]
@@ -451,9 +446,10 @@ def test_stage_sharing_equals_per_replica_reference(design, scheme):
 
     clean = run(make_machine(scheme, design))
     for specs in sharing_cases(design, scheme):
-        got = run(make_machine(scheme, design, bind(specs, design, scheme)))
+        got = run(make_machine(scheme, design,
+                               ActiveFault(specs, design, scheme)))
         want = run(reference_machine(scheme, design,
-                                     bind(specs, design, scheme)))
+                                     ActiveFault(specs, design, scheme)))
         assert got == want, [str(s) for s in specs]
         assert got != clean, [str(s) for s in specs]    # the fault was seen
 
@@ -506,8 +502,8 @@ def test_fault_hooks_run_only_for_the_fault_site_kind(design, scheme,
                   [ComparatorSite(2), VoterLatchSite(1, 0)]]
     for sites in cases:
         called.clear()
-        fault = bind([FaultSpec(site, "sa1", 6, 12) for site in sites],
-                     design, scheme)
+        fault = ActiveFault([FaultSpec(site, "sa1", 6, 12)
+                             for site in sites], design, scheme)
         for _ in feed(make_machine(scheme, design, fault), stream):
             pass
         kinds = {site.kind for site in sites}
