@@ -409,7 +409,8 @@ class StageProgram:
         triples = self._triples.get(overrides)
         if triples is None:
             triples = self._triples[overrides] = dict(overrides)
-        # No override set forces no gate: the clean stages' one lookup.
+        # An empty override set is its own key, so a clean stage builds no
+        # frozenset to find its variant.
         forced = overrides and frozenset(triples)
         fn = self._lane_variants.get(forced)
         if fn is None:

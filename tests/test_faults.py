@@ -201,13 +201,15 @@ def test_a_set_merges_once_per_member_edge(design, monkeypatch):
 
 def test_a_lone_fault_merges_only_when_its_window_closes(design,
                                                          monkeypatch):
-    merges = _counted_merges(monkeypatch)
+    # Over a run from its start, a lone fault's active() merges only for
+    # the cycle its window closes; binding it is not counted.
     for duration, closes in ((3, [10]), (PERMANENT, [])):
-        merges.clear()
         fault = ActiveFault(FaultSpec(RegisterSite(1, 0, 0), "sa1", 7,
                                       duration), design, "hfs")
-        for cyc in range(7, 600):
-            fault.active(cyc)
+        with monkeypatch.context() as patch:
+            merges = _counted_merges(patch)
+            for cyc in range(7, 600):
+                fault.active(cyc)
         assert merges == closes
 
 
@@ -391,6 +393,7 @@ def assert_hooks_follow_members(design, fault, specs, cycle, words):
             for b in range(n):
                 assert fault.reg_read(r, b, w) == want("register", r, b, w)
         regs = tuple(words[:n])
+        assert len(regs) == n
         assert fault.transform_regs(r, regs) == \
             tuple(want("register", r, b, w) for b, w in enumerate(regs))
         for s in range(n):
@@ -438,20 +441,22 @@ def test_fault_set_composes_like_its_members_one_by_one(design, first,
                             ComparatorSite(2), GateSite(g, 1))]
     width = len(design.cuts[1])
     rng = random.Random(5)
-    words = [0, (1 << width) - 1, rng.getrandbits(width)]
+    words = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(14)]
     fs = ActiveFault(members, design, "hfs")
     for cyc in range(10):
         assert fs.active(cyc) == (2 <= cyc < 8)
         assert_hooks_follow_members(design, fs, members, cyc, words)
 
     # Generated sets of 1-4 members over every site kind, drawn from a
-    # few sites that share words and gates, with this case's two models
-    # and bits and windows that may be permanent.  Hooks answer for the
-    # start before any active() call, then for each cycle of 0..40 in a
-    # shuffled order.
+    # few sites that share words and gates (and a word of the last
+    # boundary), with this case's two models and bits and windows that may
+    # be permanent.  Hooks answer for the start before any active() call,
+    # then for each cycle of 0..40 in a shuffled order.
     pools = {"gate": [GateSite(g, 0), GateSite(g, 1), GateSite(h, 1)],
              "register": [RegisterSite(1, b, r) for b in set(bits)
-                          for r in (0, 1)] + [RegisterSite(2, 0, 1)],
+                          for r in (0, 1)]
+             + [RegisterSite(2, 0, 1),
+                RegisterSite(design.n_stages - 1, 0, 0)],
              "voter_latch": [VoterLatchSite(1, b) for b in set(bits)],
              "comparator": [ComparatorSite(2), ComparatorSite(1)]}
     member = st.builds(
